@@ -22,7 +22,6 @@ from typing import Any, Callable, Optional, Union
 from repro.baselines.hashjoin import HashJoinStats, join_rows
 from repro.cluster.cluster import Cluster
 from repro.core.interpreters import Interpreter, MappingInterpreter
-from repro.core.records import estimate_size
 from repro.errors import ExecutionError
 from repro.storage.blockstore import BlockStore
 
@@ -141,12 +140,19 @@ class ScanEngine:
         build_rows = yield from self._execute_node(node.build, metrics)
         probe_rows = yield from self._execute_node(node.probe, metrics)
 
-        # Grace partition phase: both inputs shuffle across the cluster.
-        yield from self._charge_shuffle(build_rows, metrics)
-        yield from self._charge_shuffle(probe_rows, metrics)
-
+        # The data plane runs first (it touches no simulated state) so its
+        # per-input byte totals also price the shuffle: rows are sized once.
+        # Error path only: a raising key/residual callable now aborts the
+        # job before any shuffle time or ``bytes_shuffled`` is charged, and
+        # the join output is alive across the two shuffle waits.
         output, stats = join_rows(build_rows, probe_rows, node.build_key,
                                   node.probe_key, node.residual)
+
+        # Grace partition phase: both inputs shuffle across the cluster.
+        yield from self._charge_shuffle(build_rows, stats.build_bytes,
+                                        metrics)
+        yield from self._charge_shuffle(probe_rows, stats.probe_bytes,
+                                        metrics)
         metrics.joins.append(stats)
 
         # Build + probe + emit CPU, spread across every node's cores.
@@ -175,14 +181,14 @@ class ScanEngine:
                  for n in range(cluster.num_nodes)]
         yield cluster.sim.all_of(procs)
 
-    def _charge_shuffle(self, rows: list[Row],
+    def _charge_shuffle(self, rows: list[Row], total_bytes: int,
                         metrics: ScanEngineMetrics):
-        """Hash-repartition cost: each node ships (N-1)/N of its share."""
+        """Hash-repartition cost of ``rows`` (``total_bytes`` in all): each
+        node ships (N-1)/N of its share."""
         cluster = self.cluster
         num_nodes = cluster.num_nodes
         if num_nodes == 1 or not rows:
             return
-        total_bytes = sum(estimate_size(row) for row in rows)
         out_per_node = int(total_bytes / num_nodes
                            * (num_nodes - 1) / num_nodes)
         metrics.bytes_shuffled += out_per_node * num_nodes

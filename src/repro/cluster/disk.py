@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.cluster.simulation import Resource, Simulator
+from repro.cluster.simulation import Resource, Simulator, Timeout
 from repro.errors import NodeCrashed, SimulationError, TransientIOError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,7 +104,8 @@ class Disk:
         try:
             self.random_reads += 1
             self.bytes_read += nbytes if nbytes > 0 else self.spec.page_size
-            yield self.sim.timeout(
+            yield Timeout(
+                self.sim,
                 self.spec.random_service_time * self._service_factor())
             self._check_alive()
             if (self.faults is not None and self.node is not None
@@ -136,8 +137,8 @@ class Disk:
             self.bytes_read += (nbytes if nbytes > 0
                                 else count * self.spec.page_size)
             rounds = -(-count // self.spec.spindles)
-            yield self.sim.timeout(
-                rounds * self.spec.random_service_time
+            yield Timeout(
+                self.sim, rounds * self.spec.random_service_time
                 * self._service_factor())
             self._check_alive()
             if (self.faults is not None and self.node is not None
@@ -160,8 +161,8 @@ class Disk:
         self.bytes_scanned += nbytes
         yield self._scan_channel.request()
         try:
-            yield self.sim.timeout(nbytes / self.spec.seq_bandwidth
-                                   * self._service_factor())
+            yield Timeout(self.sim, nbytes / self.spec.seq_bandwidth
+                          * self._service_factor())
             self._check_alive()
         finally:
             self._scan_channel.release()

@@ -20,7 +20,7 @@ byte-for-byte identical fault sequences, timings, and engine recoveries
 across runs and machines.
 
 The injector only *raises* faults; surviving them is the engines' job (see
-``repro.engine.access.resilient_dereference`` and the recovery paths in
+``repro.engine.access.recovering_dereference`` and the recovery paths in
 ``SmpeEngine`` / ``PartitionedEngine``).
 """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.cluster.simulation import Resource, Simulator
+from repro.cluster.simulation import Resource, Simulator, Timeout
 from repro.errors import NodeCrashed, SimulationError, TransientIOError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,10 +88,10 @@ class Network:
         nic = self._nics[src]
         yield nic.request()
         try:
-            yield self.sim.timeout(nbytes / self.spec.bandwidth)
+            yield Timeout(self.sim, nbytes / self.spec.bandwidth)
         finally:
             nic.release()
-        yield self.sim.timeout(self.spec.latency)
+        yield Timeout(self.sim, self.spec.latency)
         self._check_alive(dst)
         if self.faults is not None and self.faults.draw_net_drop(src):
             raise TransientIOError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.cluster.disk import Disk, DiskSpec
-from repro.cluster.simulation import Resource, Simulator
+from repro.cluster.simulation import Resource, Simulator, Timeout
 from repro.errors import NodeCrashed, SimulationError
 from repro.storage.cache import CACHE_POLICIES, BufferPool
 
@@ -104,7 +104,7 @@ class Node:
         self.cpu_seconds += seconds
         yield self.cores.request()
         try:
-            yield self.sim.timeout(seconds)
+            yield Timeout(self.sim, seconds)
             self._check_alive()
         finally:
             self.cores.release()
@@ -112,7 +112,7 @@ class Node:
     def process_tuples(self, count: int) -> Generator:
         """Process helper: charge CPU for pushing ``count`` tuples through
         one operator."""
-        yield from self.compute(count * self.spec.tuple_cpu_time)
+        return self.compute(count * self.spec.tuple_cpu_time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node(id={self.node_id}, cores={self.spec.cores})"

@@ -16,15 +16,18 @@ logic on virtual time.  The kernel is a from-scratch, SimPy-flavoured design:
 * :class:`Store` is an unbounded FIFO queue of items with blocking ``get()``.
 * :func:`all_of` aggregates events for barrier-style waits.
 
-Determinism: events scheduled for the same instant fire in scheduling order
-(the heap is keyed by ``(time, sequence)``), so repeated runs with the same
-inputs produce identical traces and timings.
+Determinism: events fire in ``(time, scheduling order)`` order, so repeated
+runs with the same inputs produce identical traces and timings.  Future
+events sit in a heap keyed by ``(time, sequence)``; events scheduled for the
+current instant — most of them: every ``succeed()``, grant, hand-off and
+process start or finish — skip the heap and queue in a FIFO (see
+:class:`Simulator`).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationDeadlock, SimulationError
@@ -48,14 +51,20 @@ class Event:
     which point all registered callbacks run (in registration order) and its
     :attr:`value` becomes available.  Processes wait on events by yielding
     them.
+
+    The kernel allocates one of these per grant, hand-off, timeout and
+    process, so the class is slotted and its subclasses assign the four
+    base slots themselves instead of chaining ``super().__init__``.
     """
+
+    __slots__ = ("sim", "callbacks", "_value", "_scheduled")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
         self._value: Any = None
-        self._ok = True
-        self._in_heap = False
+        #: queued to fire (never reset: once fired, ``callbacks`` is None)
+        self._scheduled = False
 
     @property
     def triggered(self) -> bool:
@@ -68,20 +77,12 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Schedule this event to fire now (at the current simulated time)."""
-        if self.callbacks is None or self._scheduled():
+        if self.callbacks is None or self._scheduled:
             raise SimulationError("event already triggered or scheduled")
         self._value = value
-        self.sim._schedule(self, 0.0)
+        self._scheduled = True
+        self.sim._immediate.append(self)
         return self
-
-    def _scheduled(self) -> bool:
-        return self._in_heap
-
-    def _fire(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event fires (immediately if fired)."""
@@ -94,13 +95,23 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._scheduled = True
         self.delay = delay
-        sim._schedule(self, delay)
+        now = sim.now
+        when = now + delay
+        if when == now:  # zero, or too small to move the clock
+            sim._immediate.append(self)
+        else:
+            sim._sequence += 1
+            heappush(sim._heap, (when, sim._sequence, self))
 
 
 class Process(Event):
@@ -110,43 +121,70 @@ class Process(Event):
     yielded event fires and is resumed with the event's value.  When the
     generator returns, the process (which is itself an event) triggers with
     the generator's return value, so other processes can wait on it.
+
+    A yielded object is recognised as an event by its ``callbacks``
+    attribute, not by ``isinstance`` (one attribute load per resumption on
+    the hot path).  Yielding anything without one raises
+    :class:`SimulationError`; a foreign object that happens to carry a
+    ``callbacks`` attribute is *not* caught and is treated as an event, so
+    yield only :class:`Event` instances.
     """
 
+    __slots__ = ("generator", "name", "_send", "_wake")
+
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._scheduled = False
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        self._send = generator.send
+        #: the one bound ``_resume`` every awaited event gets; deleted when
+        #: the generator returns so a finished process is not a cycle
+        self._wake: Callable[[Event], None] = self._resume
         # Kick-start the process at the current instant.
         bootstrap = Event(sim)
-        bootstrap.add_callback(self._resume)
-        sim._schedule(bootstrap, 0.0)
+        bootstrap.callbacks.append(self._wake)  # type: ignore[union-attr]
+        bootstrap._scheduled = True
+        sim._immediate.append(bootstrap)
 
     def _resume(self, event: Event) -> None:
-        sent = event.value
+        sent = event._value
+        send = self._send
         while True:
             try:
-                target = self.generator.send(sent)
+                target = send(sent)
             except StopIteration as stop:
                 self._value = stop.value
-                self.sim._schedule(self, 0.0)
+                self._scheduled = True
+                del self._wake
+                self.sim._immediate.append(self)
                 return
-            if not isinstance(target, Event):
+            try:
+                callbacks = target.callbacks
+            except AttributeError:
                 raise SimulationError(
                     f"process {self.name!r} yielded {target!r}, expected an Event"
-                )
-            if target.triggered:
+                ) from None
+            if callbacks is None:
                 # Already fired: continue synchronously with its value.
-                sent = target.value
+                sent = target._value
                 continue
-            target.add_callback(self._resume)
+            callbacks.append(self._wake)
             return
 
 
 class _ResourceRequest(Event):
     """Pending acquisition of one slot of a :class:`Resource`."""
 
+    __slots__ = ("resource",)
+
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.sim)
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = None
+        self._scheduled = False
         self.resource = resource
 
 
@@ -198,11 +236,18 @@ class Resource:
     def request(self) -> Event:
         """Return an event that fires when a slot has been granted."""
         req = _ResourceRequest(self)
-        if self.in_use < self.capacity:
-            self._account()
-            self.in_use += 1
-            self.max_in_use = max(self.max_in_use, self.in_use)
-            req.succeed()
+        in_use = self.in_use
+        if in_use < self.capacity:
+            sim = self.sim
+            now = sim.now  # _account(), inlined here and in release()
+            self.busy_integral += in_use * (now - self._last_change)
+            self._last_change = now
+            self.in_use = in_use = in_use + 1
+            if in_use > self.max_in_use:
+                self.max_in_use = in_use
+            # A fresh request needs none of succeed()'s validation.
+            req._scheduled = True
+            sim._immediate.append(req)
         else:
             self._waiters.append(req)
         return req
@@ -215,14 +260,16 @@ class Resource:
             # The slot transfers directly: in_use stays constant.
             self._waiters.popleft().succeed()
         else:
-            self._account()
+            now = self.sim.now
+            self.busy_integral += self.in_use * (now - self._last_change)
+            self._last_change = now
             self.in_use -= 1
 
     def use(self, duration: float) -> Generator:
         """Process helper: hold one slot for ``duration`` simulated seconds."""
         yield self.request()
         try:
-            yield self.sim.timeout(duration)
+            yield Timeout(self.sim, duration)
         finally:
             self.release()
 
@@ -257,9 +304,12 @@ class Store:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        event = Event(self.sim)
+        sim = self.sim
+        event = Event(sim)
         if self._items:
-            event.succeed(self._items.popleft())
+            event._value = self._items.popleft()
+            event._scheduled = True
+            sim._immediate.append(event)
         else:
             self._getters.append(event)
         return event
@@ -289,9 +339,9 @@ def all_of(sim: "Simulator", events: Iterable[Event]) -> Event:
     result = Event(sim)
     remaining = len(events)
     if remaining == 0:
-        # Fire synchronously: there is nothing to wait for.
+        # Nothing to wait for: the aggregate is born fired.
         result._value = []
-        result._fire()
+        result.callbacks = None
         return result
     values: list[Any] = [None] * remaining
     state = {"left": remaining}
@@ -325,7 +375,7 @@ def any_of(sim: "Simulator", events: Iterable[Event]) -> Event:
 
     def make_callback(index: int) -> Callable[[Event], None]:
         def callback(event: Event) -> None:
-            if result.callbacks is not None and not result._scheduled():
+            if result.callbacks is not None and not result._scheduled:
                 result.succeed((index, event.value))
 
         return callback
@@ -338,22 +388,31 @@ def any_of(sim: "Simulator", events: Iterable[Event]) -> Event:
 class Simulator:
     """The virtual clock and event loop.
 
-    ``run()`` pops events in ``(time, sequence)`` order, guaranteeing a
-    deterministic total order even among simultaneous events.
+    Events fire in ``(time, scheduling order)`` order, a deterministic total
+    order even among simultaneous events.  Two queues hold it:
+
+    * ``_heap`` — events due at a *later* instant, keyed ``(time, sequence)``;
+    * ``_immediate`` — events scheduled for the *current* instant, in
+      scheduling order.
+
+    The loop fires the heap while its head is due (``time <= now``), then the
+    immediate queue, and only then advances the clock.  That is the same order
+    a single ``(time, sequence)`` heap yields: a heap entry due at ``now`` was
+    pushed at an earlier instant, so it was scheduled before anything the
+    current instant appended to ``_immediate``.
+
+    :meth:`step` fires exactly one event and counts it in
+    ``events_processed``; :meth:`run` is a loop over it.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
+        self._immediate: deque[Event] = deque()
         self._sequence = 0
         self.events_processed = 0
 
-    # -- scheduling ------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        event._in_heap = True
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, self._sequence, event))
+    # -- factories -------------------------------------------------------
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` seconds from now."""
@@ -383,33 +442,41 @@ class Simulator:
 
     def step(self) -> None:
         """Advance to and fire the single next event."""
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("event heap corrupted: time went backwards")
-        self.now = when
-        event._in_heap = False
+        heap = self._heap
+        if heap and heap[0][0] <= self.now:
+            event = heappop(heap)[2]
+        elif self._immediate:
+            event = self._immediate.popleft()
+        else:
+            self.now, _seq, event = heappop(heap)
         self.events_processed += 1
-        event._fire()
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:  # type: ignore[union-attr]
+            callback(event)
 
     def run(self, until: Optional[Event] = None, max_time: Optional[float] = None) -> Any:
         """Run the event loop.
 
         With ``until`` given, runs until that event fires and returns its
-        value; raises :class:`SimulationDeadlock` if the heap drains first.
-        Without ``until``, runs until the heap is empty.  ``max_time`` aborts
-        runaway simulations.
+        value; raises :class:`SimulationDeadlock` if the queues drain first.
+        Without ``until``, runs until nothing is scheduled.  ``max_time``
+        aborts runaway simulations.
         """
-        if until is not None and until.triggered:
-            return until.value
-        while self._heap:
-            if max_time is not None and self._heap[0][0] > max_time:
+        if until is not None and until.callbacks is None:
+            return until._value
+        heap = self._heap
+        immediate = self._immediate
+        step = self.step
+        while heap or immediate:
+            if max_time is not None and (
+                    self.now if immediate else heap[0][0]) > max_time:
                 raise SimulationError(f"simulation exceeded max_time={max_time}")
-            self.step()
-            if until is not None and until.triggered:
-                return until.value
+            step()
+            if until is not None and until.callbacks is None:
+                return until._value
         if until is not None:
             raise SimulationDeadlock(
-                "event heap drained before the awaited event fired "
+                "nothing left to fire before the awaited event did "
                 "(a process is blocked forever)"
             )
         return None

@@ -17,7 +17,8 @@ are expressible.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Mapping, Optional, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, Optional
 
 from repro.core.records import Record
 
@@ -68,8 +69,9 @@ class MappingInterpreter(Interpreter):
     """
 
     def interpret(self, record: Record) -> Mapping[str, Any]:
-        if isinstance(record.data, Mapping):
-            return record.data
+        data = record.data
+        if type(data) is dict or isinstance(data, Mapping):
+            return data
         return {}
 
     def interpret_batch(self, records: Sequence[Record]

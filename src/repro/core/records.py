@@ -10,7 +10,8 @@ Interpreter` functions — this is what preserves schema-on-read.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from collections.abc import Iterator, Mapping
+from typing import Any
 
 __all__ = ["Record", "estimate_size"]
 
@@ -26,11 +27,24 @@ def estimate_size(value: Any) -> int:
     small per-field overhead for mappings).
     """
     value_type = type(value)
+    if value_type is dict:
+        # A row: almost every call.  Flat rows (text keys, scalar or text
+        # values) are summed here without a recursive call per field.
+        scalar_sizes = _SCALAR_SIZES
+        total = 2 * len(value)
+        for key, item in value.items():
+            total += len(key) if type(key) is str else estimate_size(key)
+            item_type = type(item)
+            if item_type is str:
+                total += len(item)
+            elif item_type in scalar_sizes:
+                total += scalar_sizes[item_type]
+            else:
+                total += estimate_size(item)
+        return total
     if value_type in _SCALAR_SIZES:
         return _SCALAR_SIZES[value_type]
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, bytes):
+    if isinstance(value, (str, bytes)):
         return len(value)
     if isinstance(value, Mapping):
         return sum(estimate_size(k) + estimate_size(v) + 2
@@ -66,20 +80,24 @@ class Record:
         This is *not* schema enforcement — it is the schema-on-read shortcut
         used pervasively by interpreters over relational-style rows.
         """
-        if isinstance(self.data, Mapping):
-            return self.data.get(field, default)
+        data = self.data
+        if type(data) is dict or isinstance(data, Mapping):
+            return data.get(field, default)
         return default
 
     def __getitem__(self, field: str) -> Any:
-        if isinstance(self.data, Mapping):
-            return self.data[field]
+        data = self.data
+        if type(data) is dict or isinstance(data, Mapping):
+            return data[field]
         raise TypeError(
             f"record payload of type {type(self.data).__name__} is not "
             "field-addressable; use an Interpreter"
         )
 
     def __contains__(self, field: str) -> bool:
-        return isinstance(self.data, Mapping) and field in self.data
+        data = self.data
+        return ((type(data) is dict or isinstance(data, Mapping))
+                and field in data)
 
     def fields(self) -> Iterator[str]:
         """Iterate field names for mapping payloads (empty otherwise)."""

@@ -29,6 +29,7 @@ structural pruning a range partitioner affords to range probes.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional,
                     Sequence, Union)
 
@@ -58,10 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.catalog import StructureCatalog
 
 __all__ = ["resolve_partitions", "initial_probe_pids",
-           "simulated_dereference", "resilient_dereference",
-           "recovering_dereference", "count_only_dereference",
-           "batched_dereference", "resilient_dereference_batch",
-           "recovering_dereference_batch", "count_only_dereference_batch",
+           "simulated_dereference", "recovering_dereference",
+           "count_only_dereference", "batched_dereference",
+           "resilient_dereference_batch", "recovering_dereference_batch",
+           "count_only_dereference_batch",
            "classify_failure", "stamp_watermark", "stamp_epoch"]
 
 Target = Union[Pointer, PointerRange]
@@ -196,16 +197,18 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
         return records
     home = file.node_of(partition_id)
     owner = cluster.serving_node(home)
-    start_time = cluster.sim.now
+    sim = cluster.sim
+    start_time = sim.now
     records = dereferencer.fetch(file, target, partition_id)
     is_index = isinstance(file, BtreeFile)
-    owner_disk = cluster.node(owner).disk
+    owner_node = cluster.node(owner)
+    owner_disk = owner_node.disk
     page_size = owner_disk.spec.page_size
 
     injector = cluster.faults
     check = injector is not None and injector.has_corruption
 
-    pool = cluster.node(owner).buffer_pool
+    pool = owner_node.buffer_pool
     pages = None
     if pool is not None and pool.enabled:
         pages = _probe_page_ids(file, target, partition_id, page_size)
@@ -221,7 +224,7 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
                 hits += 1
                 metrics.cache_hits += 1
                 if config.cache_hit_time > 0:
-                    yield cluster.sim.timeout(config.cache_hit_time)
+                    yield sim.timeout(config.cache_hit_time)
             else:
                 misses += 1
                 metrics.cache_misses += 1
@@ -258,7 +261,7 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
         metrics.trace.append(TraceEvent(
             stage=stage, node=executing_node, partition=partition_id,
             owner_node=owner, num_records=len(records),
-            start=start_time, end=cluster.sim.now,
+            start=start_time, end=sim.now,
             cache_hits=hits, cache_misses=misses))
     return dereferencer.apply_filter(records, context)
 
@@ -425,93 +428,22 @@ def _timed_dereference(cluster: Cluster, config: EngineConfig,
     return payload
 
 
-def resilient_dereference(cluster: Cluster, config: EngineConfig,
-                          metrics: ExecutionMetrics, stage: int,
-                          dereferencer: Dereferencer, file: File,
-                          target: Target, partition_id: int,
-                          executing_node: int, context: Any,
-                          abort_check: Optional[Callable[[], bool]] = None
-                          ) -> Iterator:
-    """Fault-tolerant dereference: retries, timeouts, crash re-routing.
+def _backoff_delay(cluster: Cluster, config: EngineConfig, exec_node: int,
+                   attempt: int) -> float:
+    """Simulated seconds to wait before retry number ``attempt + 1``.
 
-    The engines' resilience path around :func:`simulated_dereference`:
-
-    * **transient faults** (IO errors, network drops) and **timeouts** are
-      retried with capped exponential backoff *in simulated time*, up to
-      ``config.max_retries``, unless ``on_error='fail'`` (then the first
-      fault propagates immediately); exhaustion raises
-      :class:`ExecutionError` with the final fault chained as its cause.
-      Each backoff delay is drawn with *full jitter* — uniform on
-      ``(0, capped_delay]`` from the fault injector's deterministic
-      per-(node, attempt) RNG stream — so concurrent jobs faulting at the
-      same instant spread their retries instead of re-colliding in a
-      synchronized storm;
-    * **node crashes** re-route: the executing side re-resolves through
-      :meth:`Cluster.serving_node` each attempt, and the owner side is
-      re-resolved inside :func:`simulated_dereference`, so in-flight work
-      moves to survivors without consuming the retry budget;
-    * user-code exceptions are never retried — they propagate unchanged;
-    * ``abort_check`` (when supplied) is consulted at each retry
-      boundary: once it reports True the invocation gives up immediately
-      and returns no records instead of burning backoff time and disk on
-      a job that has been cancelled — its output is discarded anyway.
-
-    When a fault plan is not injected this adds zero simulated events and
-    is byte-for-byte identical to calling :func:`simulated_dereference`.
+    Capped exponential backoff drawn with *full jitter* — uniform on
+    ``(0, capped_delay]`` from the fault injector's deterministic
+    per-(node, attempt) RNG stream — so concurrent jobs faulting at the
+    same instant spread their retries instead of re-colliding in a
+    synchronized storm that re-saturates the disk the fault came from.
+    Seeded, so runs replay byte-for-byte.
     """
-    attempt = 0
-    crash_hops = 0
-    while True:
-        if abort_check is not None and abort_check():
-            return []
-        exec_node = cluster.serving_node(executing_node)
-        try:
-            if config.dereference_timeout > 0:
-                records = yield from _timed_dereference(
-                    cluster, config, metrics, stage, dereferencer, file,
-                    target, partition_id, exec_node, context)
-            else:
-                records = yield from simulated_dereference(
-                    cluster, config, metrics, stage, dereferencer, file,
-                    target, partition_id, exec_node, context)
-            return records
-        except NodeCrashed as exc:
-            crash_hops += 1
-            metrics.count_fault("node-crash")
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         "fault:node-crash")
-            if crash_hops > cluster.num_nodes:
-                raise ExecutionError(
-                    f"no surviving node could serve {file.name!r} "
-                    f"partition {partition_id}") from exc
-            continue
-        except TransientIOError as exc:
-            kind = classify_failure(exc)
-            metrics.count_fault(kind)
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         f"fault:{kind}")
-            if config.on_error == "fail":
-                raise
-            if attempt >= config.max_retries:
-                raise ExecutionError(
-                    f"dereference of {file.name!r} partition {partition_id} "
-                    f"on node {exec_node} failed after {attempt} "
-                    f"retr{'ies' if attempt != 1 else 'y'}") from exc
-            delay = min(config.retry_backoff_cap,
-                        config.retry_backoff_base * (2.0 ** attempt))
-            if delay > 0 and cluster.faults is not None:
-                # Full jitter: spread concurrent retries over (0, delay]
-                # instead of synchronizing every faulted job on the same
-                # backoff instants (retry storms re-saturate the disk the
-                # fault came from).  Seeded per (node, attempt), so runs
-                # replay byte-for-byte.
-                delay *= cluster.faults.retry_jitter(exec_node, attempt)
-            attempt += 1
-            metrics.retries += 1
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         "retry")
-            if delay > 0:
-                yield cluster.sim.timeout(delay)
+    delay = min(config.retry_backoff_cap,
+                config.retry_backoff_base * (2.0 ** attempt))
+    if delay > 0 and cluster.faults is not None:
+        delay *= cluster.faults.retry_jitter(exec_node, attempt)
+    return delay
 
 
 class _ScanRecoveryTable:
@@ -788,113 +720,138 @@ def recovering_dereference(cluster: Cluster, config: EngineConfig,
                            runtime: Optional[dict] = None,
                            abort_check: Optional[Callable[[], bool]] = None
                            ) -> Iterator:
-    """The per-record access funnel, plus runtime-feedback reporting.
+    """The per-record access funnel: one generator, policy by branch.
 
-    Delegates to :func:`_recovering_dereference_impl` (the corruption-
-    aware fetch) and, when ``config.feedback`` carries a
-    :class:`~repro.plan.feedback.RuntimeFeedback`, reports the stage's
-    post-filter output count — the observed cardinality adaptive
-    re-optimization corrects estimates with.  ``feedback=None`` (the
-    default config) is a pure passthrough.
+    The engines' only way to a record.  On a healthy, fault-free cluster
+    it is :func:`simulated_dereference` plus nothing: zero extra
+    simulated events, byte-identical charges.  Around that one call sit:
+
+    * **retries** — transient faults (IO errors, network drops) and
+      **timeouts** (``config.dereference_timeout``, raced by
+      :func:`_timed_dereference`) are retried with capped, jittered
+      exponential backoff *in simulated time* (:func:`_backoff_delay`),
+      up to ``config.max_retries``, unless ``on_error='fail'`` (then the
+      first fault propagates immediately); exhaustion raises
+      :class:`ExecutionError` with the final fault chained as its cause.
+      User-code exceptions are never retried — they propagate unchanged;
+    * **crash re-routing** — the executing side re-resolves through
+      :meth:`Cluster.serving_node` each attempt, and the owner side is
+      re-resolved inside :func:`simulated_dereference`, so in-flight work
+      moves to survivors without consuming the retry budget;
+    * **abort** — ``abort_check`` (when supplied) is consulted at each
+      attempt boundary: once it reports True the invocation gives up and
+      fetches nothing instead of burning backoff time and disk on a job
+      that has been cancelled — its output is discarded anyway;
+    * **quarantine** — with a catalog and recovery ``runtime`` supplied,
+      under an active :class:`~repro.cluster.faults.PageCorruption` plan
+      or against an unhealthy structure: a probe that raises
+      :class:`~repro.errors.StructureCorruptionError` quarantines the
+      structure in the catalog (once), drops its cached pages, records
+      the event in the :class:`FailureReport`'s quarantine ledger, and
+      re-serves the probe from a :class:`_ScanRecoveryTable` built over
+      the base file; probes of a structure already quarantined (or
+      demoted by the scrub worker) go straight to the recovery table
+      without touching the sick pages; structures with no registered
+      definition (no base file to rebuild from) propagate the corruption
+      error to the engine's failure policy;
+    * **delta merge** — on a streaming lake the result is folded with the
+      structure's unmerged runs, one charged random read per run;
+    * **feedback** — when ``config.feedback`` carries a
+      :class:`~repro.plan.feedback.RuntimeFeedback`, the stage's
+      post-filter output count is reported: the observed cardinality
+      adaptive re-optimization corrects estimates with.
     """
-    records = yield from _recovering_dereference_impl(
-        cluster, config, metrics, stage, dereferencer, file, target,
-        partition_id, executing_node, context, catalog=catalog,
-        failures=failures, runtime=runtime, abort_check=abort_check)
+    fresh = _has_deltas(catalog, dereferencer, file)
+    #: quarantine protocol armed / structure already sick and re-servable
+    guarded = sick_recoverable = False
+    if (catalog is not None and runtime is not None
+            and not isinstance(dereferencer, ScanLookupDereferencer)):
+        injector = cluster.faults
+        sick = isinstance(file, BtreeFile) and not catalog.healthy(file.name)
+        guarded = sick or (injector is not None and injector.has_corruption)
+        sick_recoverable = sick and _scan_recoverable(catalog, file.name)
+    if sick_recoverable:
+        assert catalog is not None and runtime is not None
+        records = yield from _recovery_probe(
+            cluster, metrics, stage, dereferencer, file, target,
+            partition_id, executing_node, context, catalog, runtime)
+    else:
+        attempt = crash_hops = 0
+        try:
+            while True:
+                if abort_check is not None and abort_check():
+                    records = []
+                    break
+                exec_node = cluster.serving_node(executing_node)
+                try:
+                    if config.dereference_timeout > 0:
+                        records = yield from _timed_dereference(
+                            cluster, config, metrics, stage, dereferencer,
+                            file, target, partition_id, exec_node, context)
+                    else:
+                        records = yield from simulated_dereference(
+                            cluster, config, metrics, stage, dereferencer,
+                            file, target, partition_id, exec_node, context)
+                    break
+                except NodeCrashed as exc:
+                    crash_hops += 1
+                    metrics.count_fault("node-crash")
+                    _trace_fault(cluster, metrics, stage, exec_node,
+                                 partition_id, "fault:node-crash")
+                    if crash_hops > cluster.num_nodes:
+                        raise ExecutionError(
+                            f"no surviving node could serve {file.name!r} "
+                            f"partition {partition_id}") from exc
+                except TransientIOError as exc:
+                    kind = classify_failure(exc)
+                    metrics.count_fault(kind)
+                    _trace_fault(cluster, metrics, stage, exec_node,
+                                 partition_id, f"fault:{kind}")
+                    if config.on_error == "fail":
+                        raise
+                    if attempt >= config.max_retries:
+                        raise ExecutionError(
+                            f"dereference of {file.name!r} partition "
+                            f"{partition_id} on node {exec_node} failed "
+                            f"after {attempt} "
+                            f"retr{'ies' if attempt != 1 else 'y'}") from exc
+                    delay = _backoff_delay(cluster, config, exec_node,
+                                           attempt)
+                    attempt += 1
+                    metrics.retries += 1
+                    _trace_fault(cluster, metrics, stage, exec_node,
+                                 partition_id, "retry")
+                    if delay > 0:
+                        yield cluster.sim.timeout(delay)
+        except StructureCorruptionError as exc:
+            if not guarded:
+                raise
+            assert catalog is not None and runtime is not None
+            metrics.corruptions_detected += 1
+            name = file.name
+            if not (isinstance(file, BtreeFile)
+                    and _scan_recoverable(catalog, name)):
+                raise
+            if catalog.healthy(name):
+                catalog.quarantine(name)
+                metrics.quarantines += 1
+                cluster.invalidate_cached_file(name)
+                if failures is not None:
+                    failures.note_quarantine(FailureRecord(
+                        stage=stage, node=executing_node,
+                        partition=partition_id, kind="corruption",
+                        error=str(exc), attempts=1, time=cluster.sim.now))
+            records = yield from _recovery_probe(
+                cluster, metrics, stage, dereferencer, file, target,
+                partition_id, executing_node, context, catalog, runtime)
+    if fresh:
+        assert catalog is not None
+        records = yield from _charged_delta_merge(
+            cluster, metrics, dereferencer, file, target, partition_id,
+            context, catalog, records)
     if config.feedback is not None:
         config.feedback.observe(stage, len(records))
     return records
-
-
-def _recovering_dereference_impl(
-        cluster: Cluster, config: EngineConfig,
-        metrics: ExecutionMetrics, stage: int,
-        dereferencer: Dereferencer, file: File,
-        target: Target, partition_id: int,
-        executing_node: int, context: Any, *,
-        catalog: Optional["StructureCatalog"] = None,
-        failures: Optional[FailureReport] = None,
-        runtime: Optional[dict] = None,
-        abort_check: Optional[Callable[[], bool]] = None) -> Iterator:
-    """Corruption-aware wrapper over :func:`resilient_dereference`.
-
-    With no catalog/recovery state supplied — or no corruption injected
-    and every structure healthy — this is a pure passthrough: zero extra
-    simulated events, byte-identical behavior.  Under an active :class:`~repro.cluster.
-    faults.PageCorruption` plan it adds the quarantine protocol:
-
-    * a probe that raises :class:`~repro.errors.StructureCorruptionError`
-      quarantines the structure in the catalog (once), drops its cached
-      pages, records the event in the :class:`FailureReport`'s quarantine
-      ledger, and re-serves the probe from a :class:`_ScanRecoveryTable`
-      built over the base file;
-    * probes of a structure already quarantined (or demoted by the scrub
-      worker) go straight to the recovery table without touching the sick
-      pages;
-    * structures with no registered definition (no base file to rebuild
-      from) propagate the corruption error to the engine's failure policy.
-    """
-    injector = cluster.faults
-    corrupting = injector is not None and injector.has_corruption
-    sick = (catalog is not None and isinstance(file, BtreeFile)
-            and not catalog.healthy(file.name))
-    fresh = _has_deltas(catalog, dereferencer, file)
-    if (catalog is None or runtime is None
-            or not (corrupting or sick)
-            or isinstance(dereferencer, ScanLookupDereferencer)):
-        records = yield from resilient_dereference(
-            cluster, config, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context,
-            abort_check=abort_check)
-        if fresh:
-            assert catalog is not None
-            records = yield from _charged_delta_merge(
-                cluster, metrics, dereferencer, file, target,
-                partition_id, context, catalog, records)
-        return records
-    name = file.name
-    if (isinstance(file, BtreeFile) and not catalog.healthy(name)
-            and _scan_recoverable(catalog, name)):
-        records = yield from _recovery_probe(
-            cluster, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context, catalog, runtime)
-        if fresh:
-            records = yield from _charged_delta_merge(
-                cluster, metrics, dereferencer, file, target,
-                partition_id, context, catalog, records)
-        return records
-    try:
-        records = yield from resilient_dereference(
-            cluster, config, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context,
-            abort_check=abort_check)
-        if fresh:
-            records = yield from _charged_delta_merge(
-                cluster, metrics, dereferencer, file, target,
-                partition_id, context, catalog, records)
-        return records
-    except StructureCorruptionError as exc:
-        metrics.corruptions_detected += 1
-        if not (isinstance(file, BtreeFile)
-                and _scan_recoverable(catalog, name)):
-            raise
-        if catalog.healthy(name):
-            catalog.quarantine(name)
-            metrics.quarantines += 1
-            cluster.invalidate_cached_file(name)
-            if failures is not None:
-                failures.note_quarantine(FailureRecord(
-                    stage=stage, node=executing_node,
-                    partition=partition_id, kind="corruption",
-                    error=str(exc), attempts=1, time=cluster.sim.now))
-        records = yield from _recovery_probe(
-            cluster, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context, catalog, runtime)
-        if fresh:
-            records = yield from _charged_delta_merge(
-                cluster, metrics, dereferencer, file, target,
-                partition_id, context, catalog, records)
-        return records
 
 
 def count_only_dereference(metrics: ExecutionMetrics, stage: int,
@@ -1144,7 +1101,7 @@ def resilient_dereference_batch(cluster: Cluster, config: EngineConfig,
     The batch is the retry unit: a transient fault, timeout, or crash
     re-runs the whole batch (one fault draw covered it, so no probe's
     result was kept).  The retry/backoff/re-route policy is exactly
-    :func:`resilient_dereference`'s."""
+    :func:`recovering_dereference`'s."""
     attempt = 0
     crash_hops = 0
     while True:
@@ -1184,10 +1141,7 @@ def resilient_dereference_batch(cluster: Cluster, config: EngineConfig,
                     f"{partition_id} on node {exec_node} failed after "
                     f"{attempt} retr{'ies' if attempt != 1 else 'y'}"
                 ) from exc
-            delay = min(config.retry_backoff_cap,
-                        config.retry_backoff_base * (2.0 ** attempt))
-            if delay > 0 and cluster.faults is not None:
-                delay *= cluster.faults.retry_jitter(exec_node, attempt)
+            delay = _backoff_delay(cluster, config, exec_node, attempt)
             attempt += 1
             metrics.retries += 1
             _trace_fault(cluster, metrics, stage, exec_node, partition_id,
@@ -1243,8 +1197,8 @@ def recovering_dereference_batch(cluster: Cluster, config: EngineConfig,
 
     Like the per-record funnel, reports the batch's total post-filter
     output into ``config.feedback`` when one is attached; the degraded
-    path calls the per-record *impl* so each record is observed exactly
-    once, here."""
+    path runs the per-record funnel with feedback detached so each
+    record is observed exactly once, here."""
     outputs = yield from _recovering_dereference_batch_impl(
         cluster, config, metrics, stage, dereferencer, file, probes,
         partition_id, executing_node, catalog=catalog, failures=failures,
@@ -1273,9 +1227,14 @@ def _recovering_dereference_batch_impl(
             and (corrupting or sick)
             and not isinstance(dereferencer, ScanLookupDereferencer)):
         outputs = []
+        # The batch is observed once, by the caller: an adaptive
+        # controller triggers on the running sum, so per-record
+        # observes here would move when a re-plan fires.
+        quiet = (config if config.feedback is None
+                 else dataclasses.replace(config, feedback=None))
         for target, context in probes:
-            records = yield from _recovering_dereference_impl(
-                cluster, config, metrics, stage, dereferencer, file,
+            records = yield from recovering_dereference(
+                cluster, quiet, metrics, stage, dereferencer, file,
                 target, partition_id, executing_node, context,
                 catalog=catalog, failures=failures, runtime=runtime,
                 abort_check=abort_check)

@@ -10,7 +10,7 @@ charges, same answers; the contrast with :class:`~repro.engine.smpe.
 SmpeEngine` isolates the contribution of dynamic fine-grained parallelism.
 
 Fault tolerance mirrors the SMPE engine: every dereference goes through
-:func:`~repro.engine.access.resilient_dereference` (retry/backoff,
+:func:`~repro.engine.access.recovering_dereference` (retry/backoff,
 timeouts, crash re-routing via replica promotion), and
 ``EngineConfig.on_error`` decides whether an unsalvageable unit aborts the
 job or is dropped into the :class:`~repro.engine.metrics.FailureReport`.

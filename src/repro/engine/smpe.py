@@ -41,7 +41,7 @@ Fault tolerance
 ---------------
 
 Every dereference goes through
-:func:`~repro.engine.access.resilient_dereference` (retries with capped
+:func:`~repro.engine.access.recovering_dereference` (retries with capped
 exponential backoff, per-invocation timeouts, crash re-routing), and the
 control plane absorbs permanent node crashes: a crash listener drains the
 dead node's stage queue into the survivor that adopted its partitions
@@ -132,7 +132,7 @@ class JobHandle:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class _StageInput:
     """One queue entry: Algorithm 1's ``input`` with its ``stage`` tag."""
 

@@ -4,11 +4,14 @@ Invariants under randomized workloads: capacity conservation, FIFO
 fairness, clock monotonicity, determinism, and utilization bounds.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simulation import Simulator, all_of
+from repro.errors import SimulationError
 
 delays = st.floats(min_value=0.0, max_value=10.0, allow_nan=False,
                    allow_infinity=False)
@@ -127,3 +130,247 @@ def test_store_preserves_order_and_items(items):
     assert received == items
     assert store.total_put == len(items)
     assert len(store) == 0
+
+
+# --------------------------------------------------------------------------
+# Differential test: the kernel against a heap-only reference
+#
+# The kernel keeps same-instant events in a FIFO beside the heap.  The
+# reference below keeps *everything* in one ``(time, sequence)`` heap —
+# the textbook definition of the firing order — and lives only here.
+# Random programs must fire the same events in the same order on both.
+# --------------------------------------------------------------------------
+
+
+class _RefEvent:
+    def __init__(self, sim):
+        self.sim, self.callbacks, self.value, self.scheduled = sim, [], None, False
+
+    def succeed(self, value=None):
+        if self.callbacks is None or self.scheduled:
+            raise SimulationError("event already triggered or scheduled")
+        self.value = value
+        self.sim.schedule(self, 0.0)
+        return self
+
+    def add_callback(self, callback):
+        if self.callbacks is None:
+            callback(self)
+        else:
+            self.callbacks.append(callback)
+
+
+class _RefResource:
+    def __init__(self, sim, capacity):
+        self.sim, self.capacity, self.in_use, self.waiters = sim, capacity, 0, []
+
+    def request(self):
+        req = _RefEvent(self.sim)
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            req.succeed()
+        else:
+            self.waiters.append(req)
+        return req
+
+    def release(self):
+        if self.waiters:
+            self.waiters.pop(0).succeed()
+        else:
+            self.in_use -= 1
+
+
+class _RefStore:
+    def __init__(self, sim):
+        self.sim, self.items, self.getters = sim, [], []
+
+    def put(self, item):
+        if self.getters:
+            self.getters.pop(0).succeed(item)
+        else:
+            self.items.append(item)
+
+    def get(self):
+        event = _RefEvent(self.sim)
+        if self.items:
+            event.succeed(self.items.pop(0))
+        else:
+            self.getters.append(event)
+        return event
+
+
+class _RefSimulator:
+    """Heap-only ``(time, sequence)`` kernel with the public surface the
+    programs below use."""
+
+    def __init__(self):
+        self.now, self.heap, self.sequence, self.events_processed = 0.0, [], 0, 0
+
+    def schedule(self, event, delay):
+        event.scheduled = True
+        self.sequence += 1
+        heapq.heappush(self.heap, (self.now + delay, self.sequence, event))
+
+    def event(self):
+        return _RefEvent(self)
+
+    def timeout(self, delay, value=None):
+        event = _RefEvent(self)
+        event.value = value
+        self.schedule(event, delay)
+        return event
+
+    def resource(self, capacity):
+        return _RefResource(self, capacity)
+
+    def store(self):
+        return _RefStore(self)
+
+    def process(self, generator):
+        done = _RefEvent(self)
+
+        def resume(event):
+            sent = event.value
+            while True:
+                try:
+                    target = generator.send(sent)
+                except StopIteration as stop:
+                    done.value = stop.value
+                    self.schedule(done, 0.0)
+                    return
+                if target.callbacks is None:
+                    sent = target.value
+                    continue
+                target.callbacks.append(resume)
+                return
+
+        self.timeout(0.0).callbacks.append(resume)
+        return done
+
+    def all_of(self, events):
+        result, values = _RefEvent(self), [None] * len(events)
+        left = [len(events)]
+        if not events:  # nothing to wait for: already fired
+            result.value, result.callbacks = [], None
+
+        def collect(index, event):
+            values[index] = event.value
+            left[0] -= 1
+            if left[0] == 0:
+                result.succeed(values)
+
+        for i, event in enumerate(events):
+            event.add_callback(lambda ev, i=i: collect(i, ev))
+        return result
+
+    def any_of(self, events):
+        result = _RefEvent(self)
+
+        def settle(index, event):
+            if result.callbacks is not None and not result.scheduled:
+                result.succeed((index, event.value))
+
+        for i, event in enumerate(events):
+            event.add_callback(lambda ev, i=i: settle(i, ev))
+        return result
+
+    def run(self):
+        while self.heap:
+            self.now, __, event = heapq.heappop(self.heap)
+            self.events_processed += 1
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+
+
+#: 0 and 1e-20 (sub-ulp once the clock has left 0) are the delays that take
+#: the immediate queue; repeated values make same-instant ties common
+tie_delays = st.sampled_from([0.0, 0.0, 1e-20, 0.25, 0.5, 0.5, 1.0, 1.0])
+slots = st.integers(min_value=0, max_value=1)
+
+program_ops = st.one_of(
+    st.tuples(st.just("timeout"), tie_delays),
+    st.tuples(st.just("request"), slots),
+    st.tuples(st.just("release"), slots),
+    st.tuples(st.just("put"), slots),
+    st.tuples(st.just("get"), slots),
+    st.tuples(st.just("wait_process"), st.integers(0, 5)),
+    st.tuples(st.just("wait_gate"), slots),
+    st.tuples(st.just("open_gate_from_callback"), slots, tie_delays),
+    st.tuples(st.just("all_of"), st.lists(tie_delays, max_size=3)),
+    st.tuples(st.just("any_of"), st.lists(tie_delays, min_size=1,
+                                          max_size=3)),
+)
+programs = st.lists(st.lists(program_ops, max_size=8), min_size=1,
+                    max_size=6)
+
+
+def _run_program(sim, program):
+    """Interpret ``program`` (one op list per process) on ``sim``; return
+    the firing log and the kernel's own event count."""
+    log = []
+    resources = [sim.resource(1), sim.resource(2)]
+    stores = [sim.store(), sim.store()]
+    gates = [sim.event(), sim.event()]
+    opened = [False, False]
+    processes = []
+
+    def open_gate(slot, label):
+        log.append((sim.now, label))
+        if not opened[slot]:
+            opened[slot] = True
+            gates[slot].succeed(label)
+
+    def body(pid, ops):
+        held = []
+        for step, (op, *args) in enumerate(ops):
+            label = f"p{pid}.{step}:{op}"
+            if op == "timeout":
+                yield sim.timeout(args[0])
+            elif op == "request":
+                yield resources[args[0]].request()
+                held.append(args[0])
+            elif op == "release":
+                if args[0] in held:
+                    held.remove(args[0])
+                    resources[args[0]].release()
+            elif op == "put":
+                stores[args[0]].put(label)
+            elif op == "get":
+                got = yield stores[args[0]].get()
+                label += f"<-{got}"
+            elif op == "wait_process":
+                if args[0] < pid:
+                    got = yield processes[args[0]]
+                    label += f"<-{got}"
+            elif op == "wait_gate":
+                got = yield gates[args[0]]
+                label += f"<-{got}"
+            elif op == "open_gate_from_callback":
+                sim.timeout(args[1]).add_callback(
+                    lambda ev, slot=args[0], label=label:
+                    open_gate(slot, label + "!"))
+            elif op == "all_of":
+                yield sim.all_of([sim.timeout(d, value=d) for d in args[0]])
+            elif op == "any_of":
+                index, __ = yield sim.any_of(
+                    [sim.timeout(d) for d in args[0]])
+                label += f"<-{index}"
+            log.append((sim.now, label))
+        for slot in held:
+            resources[slot].release()
+        return f"p{pid}"
+
+    for pid, ops in enumerate(program):
+        processes.append(sim.process(body(pid, ops)))
+    sim.run()
+    return log, sim.events_processed
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs)
+def test_kernel_fires_in_heap_only_time_sequence_order(program):
+    log, events = _run_program(Simulator(), program)
+    ref_log, ref_events = _run_program(_RefSimulator(), program)
+    assert log == ref_log
+    assert events == ref_events

@@ -1,5 +1,9 @@
 """Property tests for partitioners, hashing, size estimation, and the DFS."""
 
+import collections
+import types
+from collections.abc import Mapping
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +77,73 @@ def test_estimate_size_nonnegative_and_deterministic(value):
     size = estimate_size(value)
     assert size >= 0
     assert estimate_size(value) == size
+
+
+def _estimate_size_oracle(value):
+    """The original, fully recursive definition of ``estimate_size``."""
+    if type(value) in (int, float):
+        return 8
+    if type(value) is bool:
+        return 1
+    if value is None:
+        return 0
+    if isinstance(value, (str, bytes)):
+        return len(value)
+    if isinstance(value, Mapping):
+        return sum(_estimate_size_oracle(k) + _estimate_size_oracle(v) + 2
+                   for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return sum(_estimate_size_oracle(item) for item in value) + 8
+    return 16
+
+
+class _Opaque:
+    __hash__ = object.__hash__
+
+
+class _Text(str):
+    pass
+
+
+class _Wide(int):
+    pass
+
+
+size_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=8), st.binary(max_size=8), st.text(max_size=4).map(_Text),
+    st.integers().map(_Wide), st.builds(_Opaque))
+size_keys = st.one_of(
+    st.text(max_size=5), st.integers(), st.booleans(), st.none(),
+    st.text(max_size=3).map(_Text),
+    st.tuples(st.integers(), st.text(max_size=3)))
+
+
+def _mappings(children):
+    plain = st.dictionaries(size_keys, children, max_size=5)
+    return st.one_of(
+        plain, plain.map(collections.OrderedDict),
+        plain.map(lambda d: collections.defaultdict(int, d)),
+        plain.map(types.MappingProxyType),
+        plain.map(collections.ChainMap))
+
+
+size_payloads = st.recursive(
+    size_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.frozensets(st.one_of(st.integers(), st.text(max_size=3)),
+                      max_size=4),
+        st.sets(st.integers(), max_size=4),
+        _mappings(children)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size_payloads)
+def test_estimate_size_matches_the_recursive_definition(value):
+    assert estimate_size(value) == _estimate_size_oracle(value)
 
 
 @given(st.dictionaries(st.text(min_size=1, max_size=6),

@@ -71,11 +71,12 @@ def test_parallel_processes_overlap():
     assert results == [(1.0, "fast"), (3.0, "slow")]
 
 
-def test_process_yielding_non_event_raises():
+@pytest.mark.parametrize("junk", [123, None, "event", object()])
+def test_process_yielding_non_event_raises(junk):
     sim = Simulator()
 
     def bad():
-        yield 123
+        yield junk
 
     sim.process(bad())
     with pytest.raises(SimulationError):
@@ -328,6 +329,75 @@ def test_run_max_time_guard():
     sim.process(forever())
     with pytest.raises(SimulationError):
         sim.run(max_time=10.0)
+
+
+def test_run_max_time_allows_immediate_events_at_the_limit():
+    sim = Simulator()
+    fired = []
+    gate = sim.event()
+    gate.add_callback(lambda ev: fired.append(ev.value))
+    gate.succeed("now")
+    sim.run(max_time=0.0)  # due at now == max_time: not past the limit
+    assert fired == ["now"] and sim.now == 0.0
+
+
+def test_run_max_time_rejects_immediate_events_past_the_limit():
+    sim = Simulator()
+    sim.run(until=sim.timeout(5.0))
+    sim.event().succeed()  # due at now = 5.0, nothing in the heap
+    with pytest.raises(SimulationError):
+        sim.run(max_time=1.0)
+    assert sim.events_processed == 1
+
+
+def test_zero_timeout_fires_after_pending_same_instant_heap_entries():
+    sim = Simulator()
+    order = []
+    first, second = sim.timeout(1.0), sim.timeout(1.0)
+
+    def on_first(event):
+        order.append("first")
+        # ``second`` is still in the heap, due at this very instant.
+        sim.timeout(0).add_callback(lambda ev: order.append("zero"))
+        sim.timeout(1e-20).add_callback(lambda ev: order.append("sub-ulp"))
+
+    first.add_callback(on_first)
+    second.add_callback(lambda ev: order.append("second"))
+    sim.run()
+    assert order == ["first", "second", "zero", "sub-ulp"]
+    assert sim.now == 1.0
+
+
+def test_run_until_returns_with_immediate_events_still_queued():
+    sim = Simulator()
+    awaited, other = sim.event(), sim.event()
+    awaited.succeed("done")
+    other.succeed()
+    assert sim.run(until=awaited) == "done"
+    assert sim.events_processed == 1 and not other.triggered
+    sim.run()
+    assert sim.events_processed == 2 and other.triggered
+
+
+def test_step_counts_every_fired_event():
+    """The benchmark's contract: one ``step`` call per fired event, each
+    counted in ``events_processed`` (see benchmarks/perf/layers.py)."""
+    sim = Simulator()
+    store = sim.store()
+    resource = sim.resource(1)
+
+    def worker():
+        yield sim.timeout(1.0)
+        yield from resource.use(0.5)
+        store.put("x")
+        yield store.get()
+
+    done = all_of(sim, [sim.process(worker()), sim.process(worker())])
+    steps = 0
+    while not done.triggered:
+        sim.step()
+        steps += 1
+    assert steps == sim.events_processed > 0
 
 
 def test_determinism_identical_runs():

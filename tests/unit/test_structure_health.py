@@ -43,6 +43,7 @@ from repro.errors import (AccessMethodError, JobDefinitionError,
                           StorageError, StructureCorruptionError,
                           UnknownStructure)
 from repro.plan import ACCESS_INDEX, ACCESS_SCAN, StagePlanner
+from repro.plan.feedback import RuntimeFeedback
 from repro.queries import TpchWorkload
 from repro.storage import DistributedFileSystem
 from repro.storage.cache import PageId, page_checksum
@@ -382,6 +383,22 @@ class TestEngineQuarantineFallback:
                     result.metrics.summary())
 
         assert one_run() == one_run()
+
+    @pytest.mark.parametrize("batch_size", (1, 8))
+    def test_feedback_sees_each_record_once_under_corruption(
+            self, mode, batch_size):
+        """The degraded batch path re-enters the per-record funnel; the
+        batch, not the funnel, reports those records to the feedback."""
+        def observed(plan):
+            feedback = RuntimeFeedback()
+            cluster = Cluster(ClusterSpec(num_nodes=4), fault_plan=plan)
+            config = EngineConfig(batch_size=batch_size, feedback=feedback)
+            result = ReDeExecutor(cluster, join_catalog(), config=config,
+                                  mode=mode).execute(join_job())
+            assert result.complete
+            return feedback.observed
+
+        assert observed(CORRUPTION_PLAN) == observed(None)
 
     def test_pre_quarantined_structure_is_served_by_scan(self, mode):
         catalog = join_catalog()
