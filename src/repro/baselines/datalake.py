@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.core.interpreters import Interpreter
-from repro.core.records import Record
 from repro.storage.blockstore import BlockStore
 
 __all__ = ["DataLakeEngine", "DataLakeResult"]

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.records import estimate_size
 
-__all__ = ["join_rows", "HashJoinStats"]
+__all__ = ["join_rows", "join_sized_rows", "HashJoinStats"]
 
 Row = dict[str, Any]
 KeyFn = Callable[[Row], Any]
@@ -53,21 +53,45 @@ def join_rows(build: list[Row], probe: list[Row], build_key: KeyFn,
     conjuncts (e.g. Q5's ``c_nationkey = s_nationkey``) apply after the
     equi-join.
     """
-    stats = HashJoinStats(build_rows=len(build), probe_rows=len(probe))
-    table: dict[Any, list[Row]] = defaultdict(list)
-    for row in build:
-        stats.build_bytes += estimate_size(row)
+    output, __, stats = join_sized_rows(
+        build, [estimate_size(row) for row in build],
+        probe, [estimate_size(row) for row in probe],
+        build_key, probe_key, residual)
+    return output, stats
+
+
+def join_sized_rows(build: list[Row], build_sizes: list[int],
+                    probe: list[Row], probe_sizes: list[int],
+                    build_key: KeyFn, probe_key: KeyFn,
+                    residual: Optional[Callable[[Row], bool]] = None
+                    ) -> tuple[list[Row], list[int], HashJoinStats]:
+    """:func:`join_rows` over rows whose ``estimate_size`` is already known.
+
+    ``build_sizes``/``probe_sizes`` run parallel to the rows; the output
+    rows come back with their sizes too, so a join tree sizes each row
+    once.  ``estimate_size`` of a dict is additive over disjoint key sets,
+    so a merged row without a key clash costs the sum of its parents;
+    only a clash re-estimates the merged row.
+    """
+    stats = HashJoinStats(build_rows=len(build), probe_rows=len(probe),
+                          build_bytes=sum(build_sizes),
+                          probe_bytes=sum(probe_sizes))
+    table: dict[Any, list[tuple[Row, int]]] = defaultdict(list)
+    for row, size in zip(build, build_sizes):
         key = build_key(row)
         if key is not None:
-            table[key].append(row)
+            table[key].append((row, size))
     output: list[Row] = []
-    for row in probe:
-        stats.probe_bytes += estimate_size(row)
-        for match in table.get(probe_key(row), ()):
+    output_sizes: list[int] = []
+    for row, size in zip(probe, probe_sizes):
+        for match, match_size in table.get(probe_key(row), ()):
             merged = {**match, **row}
             if residual is not None and not residual(merged):
                 continue
             output.append(merged)
+            output_sizes.append(
+                match_size + size if len(merged) == len(match) + len(row)
+                else estimate_size(merged))
     stats.output_rows = len(output)
-    stats.output_bytes = sum(estimate_size(row) for row in output)
-    return output, stats
+    stats.output_bytes = sum(output_sizes)
+    return output, output_sizes, stats

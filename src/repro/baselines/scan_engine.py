@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.baselines.hashjoin import HashJoinStats, join_rows
+from repro.baselines.hashjoin import HashJoinStats, join_sized_rows
 from repro.cluster.cluster import Cluster
 from repro.core.interpreters import Interpreter, MappingInterpreter
+from repro.core.records import estimate_size
 from repro.errors import ExecutionError
 from repro.storage.blockstore import BlockStore
 
@@ -90,7 +91,7 @@ class ScanEngine:
         holder: dict[str, list[Row]] = {}
 
         def query_process():
-            rows = yield from self._execute_node(plan, metrics)
+            rows, __ = yield from self._execute_node(plan, metrics)
             holder["rows"] = rows
 
         __, elapsed = self.cluster.run_job(query_process(),
@@ -102,18 +103,18 @@ class ScanEngine:
     # -- operators ---------------------------------------------------------
 
     def _execute_node(self, node: PlanNode, metrics: ScanEngineMetrics):
+        """Run ``node``; returns its rows and each row's ``estimate_size``."""
         if isinstance(node, ScanNode):
-            rows = yield from self._scan(node, metrics)
-            return rows
+            return (yield from self._scan(node, metrics))
         if isinstance(node, HashJoinNode):
-            rows = yield from self._join(node, metrics)
-            return rows
+            return (yield from self._join(node, metrics))
         raise ExecutionError(f"unknown plan node {node!r}")
 
     def _scan(self, node: ScanNode, metrics: ScanEngineMetrics):
         """Every node scans its local blocks in parallel; filters on cores."""
         cluster = self.cluster
         per_node_rows: list[list[Row]] = [[] for __ in range(cluster.num_nodes)]
+        per_node_sizes: list[list[int]] = [[] for __ in range(cluster.num_nodes)]
 
         def scan_on(node_id: int):
             sim_node = cluster.node(node_id)
@@ -124,29 +125,40 @@ class ScanEngine:
                 yield from sim_node.disk.sequential_read(block.nbytes)
                 yield from self._charge_tuples(node_id, len(block))
                 for record in block.records:
-                    row = dict(node.interpreter.interpret(record))
+                    view = node.interpreter.interpret(record)
+                    row = dict(view)
                     if node.predicate is None or node.predicate(row):
                         per_node_rows[node_id].append(row)
+                        # The record's own payload is sized (and cached)
+                        # at load; any other view is sized here, once.
+                        per_node_sizes[node_id].append(
+                            record.size_bytes if view is record.data
+                            else estimate_size(row))
 
         procs = [cluster.launch(scan_on(n), name=f"scan@{n}")
                  for n in range(cluster.num_nodes)]
         yield cluster.sim.all_of(procs)
         rows: list[Row] = []
-        for node_rows in per_node_rows:
+        sizes: list[int] = []
+        for node_rows, node_sizes in zip(per_node_rows, per_node_sizes):
             rows.extend(node_rows)
-        return rows
+            sizes.extend(node_sizes)
+        return rows, sizes
 
     def _join(self, node: HashJoinNode, metrics: ScanEngineMetrics):
-        build_rows = yield from self._execute_node(node.build, metrics)
-        probe_rows = yield from self._execute_node(node.probe, metrics)
+        build_rows, build_sizes = yield from self._execute_node(node.build,
+                                                                metrics)
+        probe_rows, probe_sizes = yield from self._execute_node(node.probe,
+                                                                metrics)
 
-        # The data plane runs first (it touches no simulated state) so its
-        # per-input byte totals also price the shuffle: rows are sized once.
-        # Error path only: a raising key/residual callable now aborts the
-        # job before any shuffle time or ``bytes_shuffled`` is charged, and
-        # the join output is alive across the two shuffle waits.
-        output, stats = join_rows(build_rows, probe_rows, node.build_key,
-                                  node.probe_key, node.residual)
+        # Row sizes travel with the rows from the scan up (each row is sized
+        # once per job), and the data plane runs before the shuffle (it
+        # touches no simulated state) so its per-input byte totals price
+        # the shuffle.  A raising key/residual callable therefore aborts the
+        # job before any shuffle time or ``bytes_shuffled`` is charged.
+        output, output_sizes, stats = join_sized_rows(
+            build_rows, build_sizes, probe_rows, probe_sizes,
+            node.build_key, node.probe_key, node.residual)
 
         # Grace partition phase: both inputs shuffle across the cluster.
         yield from self._charge_shuffle(build_rows, stats.build_bytes,
@@ -159,7 +171,7 @@ class ScanEngine:
         total_tuples = (stats.build_rows + stats.probe_rows
                         + stats.output_rows)
         yield from self._charge_tuples_all_nodes(total_tuples)
-        return output
+        return output, output_sizes
 
     # -- cost helpers --------------------------------------------------------
 

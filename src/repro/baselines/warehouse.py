@@ -59,8 +59,10 @@ class ClaimsWarehouse:
     def _normalize(self, claims: Iterable[Record]) -> None:
         """The relational decomposition a warehouse schema forces."""
         interp = ClaimInterpreter()
-        claim_rows, disease_rows, medicine_rows, treatment_rows = \
-            [], [], [], []
+        claim_rows: list[Record] = []
+        disease_rows: list[Record] = []
+        medicine_rows: list[Record] = []
+        treatment_rows: list[Record] = []
         for record in claims:
             view = interp.interpret(record)
             claim_id = view["claim_id"]

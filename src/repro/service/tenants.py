@@ -127,6 +127,9 @@ class ServiceMetrics:
                 # newest placement any of this tenant's jobs ran under.
                 mine.placement_epoch = max(mine.placement_epoch or 0,
                                            value)
+            elif key == "peak_parallelism":
+                # A per-job peak: the tenant's peak is the largest one.
+                mine.peak_parallelism = max(mine.peak_parallelism, value)
             elif key == "freshness_watermark":
                 # A watermark is an identifier too: the tenant-level
                 # value is the *stalest* answer any of its jobs served

@@ -19,8 +19,6 @@ from repro.storage.files import (
     round_robin_placement,
 )
 from repro.storage.heapfile import HeapFile
-from repro.storage.persist import DatasetCache, load_records, \
-    save_records
 from repro.storage.stats import EquiDepthHistogram, build_index_histogram
 from repro.storage.partitioner import (
     HashPartitioner,
@@ -44,11 +42,8 @@ __all__ = [
     "PartitionedFile",
     "round_robin_placement",
     "HeapFile",
-    "DatasetCache",
     "EquiDepthHistogram",
     "build_index_histogram",
-    "load_records",
-    "save_records",
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",

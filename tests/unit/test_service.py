@@ -108,6 +108,15 @@ class TestServiceMetrics:
         m.merge_engine(fresh)  # a fresher later job never raises it
         assert m.engine.freshness_watermark == 3.0
 
+    def test_merge_engine_keeps_largest_peak_parallelism(self):
+        """A per-job peak folds as max, never as a sum."""
+        m = ServiceMetrics(tenant="t")
+        for peak in (5, 7):
+            job = ExecutionMetrics()
+            job.peak_parallelism = peak
+            m.merge_engine(job)
+        assert m.engine.peak_parallelism == 7
+
 
 class TestFairSchedulerLanes:
     def test_interactive_preempts_background_in_queue(self):
