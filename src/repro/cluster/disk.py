@@ -79,16 +79,18 @@ class Disk:
         #: fault source (set by Cluster.inject_faults); None = reliable
         self.faults: Optional["FaultInjector"] = None
 
-    def _check_alive(self) -> None:
-        if self.node is not None and not self.node.alive:
-            raise NodeCrashed(
-                f"node {self.node.node_id} crashed; its disk is gone",
-                node=self.node.node_id)
+    def _crashed(self) -> NodeCrashed:
+        assert self.node is not None
+        return NodeCrashed(
+            f"node {self.node.node_id} crashed; its disk is gone",
+            node=self.node.node_id)
 
-    def _service_factor(self) -> float:
+    def _service_time(self, nominal: float) -> float:
+        """``nominal`` scaled by the straggler factor; untouched (no
+        ``× 1.0``) when no fault plan is attached."""
         if self.faults is None or self.node is None:
-            return 1.0
-        return self.faults.disk_factor(self.node.node_id)
+            return nominal
+        return nominal * self.faults.disk_factor(self.node.node_id)
 
     def random_read(self, nbytes: int = 0) -> Generator:
         """Process helper: one random point read (a ReDe dereference IO).
@@ -99,17 +101,21 @@ class Disk:
         its service time (a failed IO still occupies the spindle), and any
         read against a crashed node raises :class:`NodeCrashed`.
         """
-        self._check_alive()
+        node = self.node
+        if node is not None and not node.alive:
+            raise self._crashed()
         yield self._spindles.request()
         try:
             self.random_reads += 1
             self.bytes_read += nbytes if nbytes > 0 else self.spec.page_size
-            yield Timeout(
-                self.sim,
-                self.spec.random_service_time * self._service_factor())
-            self._check_alive()
-            if (self.faults is not None and self.node is not None
-                    and self.faults.draw_io_fault(self.node.node_id)):
+            service = self.spec.random_service_time
+            if self.faults is not None:
+                service = self._service_time(service)
+            yield Timeout(self.sim, service)
+            if node is not None and not node.alive:
+                raise self._crashed()
+            if (self.faults is not None and node is not None
+                    and self.faults.draw_io_fault(node.node_id)):
                 raise TransientIOError(
                     f"transient IO error on {self._spindles.name}")
         finally:
@@ -130,19 +136,21 @@ class Disk:
         """
         if count <= 0:
             return
-        self._check_alive()
+        node = self.node
+        if node is not None and not node.alive:
+            raise self._crashed()
         yield self._spindles.request()
         try:
             self.random_reads += count
             self.bytes_read += (nbytes if nbytes > 0
                                 else count * self.spec.page_size)
             rounds = -(-count // self.spec.spindles)
-            yield Timeout(
-                self.sim, rounds * self.spec.random_service_time
-                * self._service_factor())
-            self._check_alive()
-            if (self.faults is not None and self.node is not None
-                    and self.faults.draw_io_fault(self.node.node_id)):
+            yield Timeout(self.sim, self._service_time(
+                rounds * self.spec.random_service_time))
+            if node is not None and not node.alive:
+                raise self._crashed()
+            if (self.faults is not None and node is not None
+                    and self.faults.draw_io_fault(node.node_id)):
                 raise TransientIOError(
                     f"transient IO error on {self._spindles.name}")
         finally:
@@ -157,13 +165,16 @@ class Disk:
         """
         if nbytes < 0:
             raise SimulationError(f"negative scan size: {nbytes}")
-        self._check_alive()
+        node = self.node
+        if node is not None and not node.alive:
+            raise self._crashed()
         self.bytes_scanned += nbytes
         yield self._scan_channel.request()
         try:
-            yield Timeout(self.sim, nbytes / self.spec.seq_bandwidth
-                          * self._service_factor())
-            self._check_alive()
+            yield Timeout(self.sim, self._service_time(
+                nbytes / self.spec.seq_bandwidth))
+            if node is not None and not node.alive:
+                raise self._crashed()
         finally:
             self._scan_channel.release()
 

@@ -63,10 +63,9 @@ class Network:
         self._nics.append(Resource(self.sim, self.spec.channels,
                                    name=f"nic[{len(self._nics)}]"))
 
-    def _check_alive(self, node_id: int) -> None:
-        if self.faults is not None and not self.faults.node_alive(node_id):
-            raise NodeCrashed(f"node {node_id} crashed; message undeliverable",
-                              node=node_id)
+    def _crashed(self, node_id: int) -> NodeCrashed:
+        return NodeCrashed(f"node {node_id} crashed; message undeliverable",
+                           node=node_id)
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Generator:
         """Process helper: move ``nbytes`` from node ``src`` to node ``dst``.
@@ -77,28 +76,42 @@ class Network:
         transmission time) and messages to/from crashed nodes raise
         :class:`NodeCrashed`.
         """
-        if src == dst:
-            return
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        self._check_alive(src)
-        self._check_alive(dst)
-        self.messages += 1
-        self.bytes_sent += nbytes
-        nic = self._nics[src]
-        yield nic.request()
-        try:
-            yield Timeout(self.sim, nbytes / self.spec.bandwidth)
-        finally:
-            nic.release()
-        yield Timeout(self.sim, self.spec.latency)
-        self._check_alive(dst)
-        if self.faults is not None and self.faults.draw_net_drop(src):
-            raise TransientIOError(
-                f"network drop: message {src} -> {dst} lost")
+        return self._send(((src, dst, nbytes),))
 
     def request_response(self, src: int, dst: int, request_bytes: int,
                          response_bytes: int) -> Generator:
         """Process helper: a round trip (e.g., remote record fetch)."""
-        yield from self.transfer(src, dst, request_bytes)
-        yield from self.transfer(dst, src, response_bytes)
+        return self._send(((src, dst, request_bytes),
+                           (dst, src, response_bytes)))
+
+    def _send(self, legs: tuple[tuple[int, int, int], ...]) -> Generator:
+        """One generator for a sequence of messages, sent one after the
+        other.  Liveness and drops are consulted only with a fault plan
+        attached; without one a message costs its two timeouts and
+        nothing else."""
+        for src, dst, nbytes in legs:
+            if src == dst:
+                continue
+            if nbytes < 0:
+                raise SimulationError(f"negative transfer size: {nbytes}")
+            faults = self.faults
+            if faults is not None:
+                for node_id in (src, dst):
+                    if not faults.node_alive(node_id):
+                        raise self._crashed(node_id)
+            self.messages += 1
+            self.bytes_sent += nbytes
+            nic = self._nics[src]
+            yield nic.request()
+            try:
+                yield Timeout(self.sim, nbytes / self.spec.bandwidth)
+            finally:
+                nic.release()
+            yield Timeout(self.sim, self.spec.latency)
+            faults = self.faults
+            if faults is not None:
+                if not faults.node_alive(dst):
+                    raise self._crashed(dst)
+                if faults.draw_net_drop(src):
+                    raise TransientIOError(
+                        f"network drop: message {src} -> {dst} lost")

@@ -91,21 +91,22 @@ class Node:
             return 0
         return self.buffer_pool.drop_all()
 
-    def _check_alive(self) -> None:
-        if not self.alive:
-            raise NodeCrashed(f"node {self.node_id} crashed",
-                              node=self.node_id)
+    def _crashed(self) -> NodeCrashed:
+        return NodeCrashed(f"node {self.node_id} crashed",
+                           node=self.node_id)
 
     def compute(self, seconds: float) -> Generator:
         """Process helper: hold one core for ``seconds`` of CPU work."""
         if seconds < 0:
             raise SimulationError(f"negative compute time: {seconds}")
-        self._check_alive()
+        if not self.alive:
+            raise self._crashed()
         self.cpu_seconds += seconds
         yield self.cores.request()
         try:
             yield Timeout(self.sim, seconds)
-            self._check_alive()
+            if not self.alive:
+                raise self._crashed()
         finally:
             self.cores.release()
 

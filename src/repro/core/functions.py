@@ -22,7 +22,6 @@ opaque.
 
 from __future__ import annotations
 
-import abc
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.interpreters import Filter, Interpreter
@@ -59,26 +58,26 @@ _EMPTY_CONTEXT: Context = {}
 
 
 def _extend_context(context: Context, additions: Mapping[str, Any]) -> Context:
-    """Context is copy-on-extend so parallel branches never share state."""
-    if not additions:
-        return context
+    """Context is copy-on-extend so parallel branches never share state;
+    callers skip the copy when they carry nothing."""
     merged = dict(context)
     merged.update(additions)
     return merged
 
 
-class Referencer(abc.ABC):
+class Referencer:
     """record → pointers.  Pure CPU; the engines run these inline by default
     ("ReDe does not switch threads for *Referencers* ... because
     *Referencers* do not usually incur IO and are lightweight")."""
 
-    @abc.abstractmethod
     def reference(self, record: Record,
                   context: Context) -> Iterable[Emission]:
         """Produce pointers (with inherited/extended context) from a record."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement reference()")
 
 
-class Dereferencer(abc.ABC):
+class Dereferencer:
     """pointer(s) → records, against one named structure.
 
     "every *Dereferencer* manages either a *File* or a *BtreeFile*" — the
@@ -92,7 +91,6 @@ class Dereferencer(abc.ABC):
         self.file_name = file_name
         self.filter = filter
 
-    @abc.abstractmethod
     def fetch(self, file: File, target: Union[Pointer, PointerRange],
               partition_id: int) -> list[Record]:
         """Fetch the records the target denotes within one partition.
@@ -101,6 +99,8 @@ class Dereferencer(abc.ABC):
         keyed pointer, all for a broadcast) and charges the corresponding
         IO; the dereferencer only supplies the per-partition access logic.
         """
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement fetch()")
 
     def apply_filter(self, records: Iterable[Record],
                      context: Context) -> list[Record]:
@@ -148,10 +148,11 @@ class IndexEntryReferencer(Referencer):
                 f"record {record!r} is not an index entry") from exc
         kind = PointerKind(record.get(TARGET_KIND_FIELD,
                                       PointerKind.LOGICAL.value))
-        additions = {ctx_key: record.get(field)
-                     for ctx_key, field in self.carry.items()}
-        pointer = Pointer(self.target_file, partition_key, key, kind)
-        yield pointer, _extend_context(context, additions)
+        if self.carry:
+            context = _extend_context(context, {
+                ctx_key: record.get(field)
+                for ctx_key, field in self.carry.items()})
+        yield Pointer(self.target_file, partition_key, key, kind), context
 
 
 class KeyReferencer(Referencer):
@@ -200,11 +201,12 @@ class KeyReferencer(Referencer):
             partition_key = view.get(self.partition_key_field)
         else:
             partition_key = key
-        additions = {ctx_key: view.get(field)
-                     for ctx_key, field in self.carry.items()}
-        pointer = Pointer(self.target_file, partition_key, key,
-                          PointerKind.LOGICAL)
-        yield pointer, _extend_context(context, additions)
+        if self.carry:
+            context = _extend_context(context, {
+                ctx_key: view.get(field)
+                for ctx_key, field in self.carry.items()})
+        yield (Pointer(self.target_file, partition_key, key,
+                       PointerKind.LOGICAL), context)
 
 
 class FunctionReferencer(Referencer):

@@ -16,7 +16,6 @@ are expressible.
 
 from __future__ import annotations
 
-import abc
 from collections.abc import Mapping, Sequence
 from typing import Any, Callable, Optional
 
@@ -38,12 +37,13 @@ __all__ = [
 Context = Mapping[str, Any]
 
 
-class Interpreter(abc.ABC):
+class Interpreter:
     """Maps a raw record to a field-addressable view, at read time."""
 
-    @abc.abstractmethod
     def interpret(self, record: Record) -> Mapping[str, Any]:
         """Return the record's fields under this interpretation."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement interpret()")
 
     def field(self, record: Record, name: str, default: Any = None) -> Any:
         """Convenience: one field of the interpreted view."""
@@ -141,12 +141,13 @@ class FunctionInterpreter(Interpreter):
         return self._fn(record)
 
 
-class Filter(abc.ABC):
+class Filter:
     """A predicate over a fetched record (plus carried context)."""
 
-    @abc.abstractmethod
     def matches(self, record: Record, context: Context) -> bool:
         """True if the record survives the filter."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement matches()")
 
     def matches_batch(self, records: Sequence[Record],
                       context: Context) -> list[bool]:

@@ -151,15 +151,15 @@ def initial_probe_pids(file: File, target: Target,
 _REFERENCE_PAGE_SIZE = DiskSpec().page_size
 
 
-def _fetch_cost_reads(file: File, records: Sequence[Record],
+def _fetch_cost_reads(file: File, num_records: int, total_bytes: int,
                       page_size: int) -> int:
-    """Random reads one fetch costs on the owning node (uncached model)."""
+    """Random reads one fetch of ``num_records`` records totalling
+    ``total_bytes`` costs on the owning node (uncached model)."""
     if isinstance(file, BtreeFile):
-        return file.probe_io_count(len(records))
+        return file.probe_io_count(num_records)
     # Base-file lookup: records under one key pack contiguously in the
     # heap, so the fetch reads as many pages as the record bytes span —
     # minimum one (a miss still reads the page that would have held it).
-    total_bytes = sum(record.size_bytes for record in records)
     return max(1, -(-total_bytes // page_size))
 
 
@@ -200,8 +200,9 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
     sim = cluster.sim
     start_time = sim.now
     records = dereferencer.fetch(file, target, partition_id)
+    fetched_bytes = sum(record.size_bytes for record in records)
     is_index = isinstance(file, BtreeFile)
-    owner_node = cluster.node(owner)
+    owner_node = cluster.nodes[owner]
     owner_disk = owner_node.disk
     page_size = owner_disk.spec.page_size
 
@@ -238,7 +239,8 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
                 raise _corruption_error(file, page)
         metrics.count_fetch(stage, len(records), is_index, misses)
     else:
-        reads = _fetch_cost_reads(file, records, page_size)
+        reads = _fetch_cost_reads(file, len(records), fetched_bytes,
+                                  page_size)
         metrics.count_fetch(stage, len(records), is_index, reads)
         for __ in range(reads):
             # Dependent page reads serialize inside this simulated thread.
@@ -250,13 +252,13 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
                     raise _corruption_error(file, page)
 
     if owner != executing_node:
-        response_bytes = sum(r.size_bytes for r in records)
-        metrics.count_remote(config.pointer_bytes + response_bytes)
+        metrics.count_remote(config.pointer_bytes + fetched_bytes)
         yield from cluster.network.request_response(
-            executing_node, owner, config.pointer_bytes, response_bytes)
+            executing_node, owner, config.pointer_bytes, fetched_bytes)
 
     if records:
-        yield from cluster.node(executing_node).process_tuples(len(records))
+        yield from cluster.nodes[executing_node].process_tuples(
+            len(records))
     if metrics.trace is not None:
         metrics.trace.append(TraceEvent(
             stage=stage, node=executing_node, partition=partition_id,
@@ -887,7 +889,9 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
             feedback.observe(stage, len(records))
         return records
     records = dereferencer.fetch(file, target, partition_id)
-    reads = _fetch_cost_reads(file, records, _REFERENCE_PAGE_SIZE)
+    reads = _fetch_cost_reads(file, len(records),
+                              sum(r.size_bytes for r in records),
+                              _REFERENCE_PAGE_SIZE)
     metrics.count_fetch(stage, len(records), isinstance(file, BtreeFile),
                         reads)
     records = dereferencer.apply_filter(records, context)
@@ -991,8 +995,10 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
                     raise _corruption_error(file, page)
         metrics.count_fetch(stage, total_records, is_index, misses)
     else:
-        all_records = [r for records in fetched for r in records]
-        reads = _fetch_cost_reads(file, all_records, page_size)
+        reads = _fetch_cost_reads(
+            file, total_records,
+            sum(r.size_bytes for records in fetched for r in records),
+            page_size)
         metrics.count_fetch(stage, total_records, is_index, reads)
         if reads:
             yield from owner_disk.random_read_batch(reads)
@@ -1286,7 +1292,9 @@ def count_only_dereference_batch(metrics: ExecutionMetrics, stage: int,
     fetched = [dereferencer.fetch(file, target, partition_id)
                for target, __ in probes]
     all_records = [r for records in fetched for r in records]
-    reads = _fetch_cost_reads(file, all_records, _REFERENCE_PAGE_SIZE)
+    reads = _fetch_cost_reads(file, len(all_records),
+                              sum(r.size_bytes for r in all_records),
+                              _REFERENCE_PAGE_SIZE)
     metrics.count_fetch(stage, len(all_records),
                         isinstance(file, BtreeFile), reads)
     metrics.count_batch(len(probes), capacity)

@@ -509,7 +509,8 @@ class SmpeEngine:
 
     def _dispatcher(self, state: "_RunState", node_id: int):
         queue = state.queues[node_id]
-        job = state.job
+        functions = state.job.functions
+        num_stages = len(functions)
         sim = self.cluster.sim
         batch_size = self.config.batch_size
         linger = self.config.batch_linger if batch_size > 1 else 0.0
@@ -530,7 +531,7 @@ class SmpeEngine:
                 if items:
                     self.cluster.launch(
                         self._execute_dereferencer_batch(
-                            state, node_id, job.function_at(s), items),
+                            state, node_id, functions[s], items),
                         name=f"deref-batch@{node_id}")
 
         while True:                                      # line 26
@@ -581,8 +582,7 @@ class SmpeEngine:
                 state.tracker.dec()
                 continue                                 # line 32
 
-            function = job.function_at(item.stage)       # line 34
-            if function is None:                         # lines 36-38
+            if item.stage >= num_stages:                 # lines 34-38
                 # Past the final stage: the record is a job output.  (The
                 # pseudocode drops it; a real engine keeps it.)
                 if isinstance(payload, Record):
@@ -593,6 +593,7 @@ class SmpeEngine:
                 state.tracker.dec()
                 continue
 
+            function = functions[item.stage]
             if isinstance(function, Referencer):
                 if self.config.inline_referencers:
                     # Optimization: "ReDe does not switch threads for

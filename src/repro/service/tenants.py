@@ -141,6 +141,9 @@ class ServiceMetrics:
             elif isinstance(value, int):
                 setattr(mine, key, getattr(mine, key) + value)
         mine.elapsed_seconds += metrics.elapsed_seconds
+        # summary() reports the fill ratio, not its denominator: fold the
+        # capacity itself so the merged batch_fill stays probes/capacity.
+        mine.batched_capacity += metrics.batched_capacity
 
     # -- views -----------------------------------------------------------
 

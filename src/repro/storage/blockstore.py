@@ -11,7 +11,7 @@ stream whole blocks at sequential bandwidth; point lookups must scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.records import Record
 from repro.errors import StorageError, UnknownStructure

@@ -17,7 +17,6 @@ engines' job.
 
 from __future__ import annotations
 
-import abc
 import math
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -78,7 +77,7 @@ def round_robin_placement(num_partitions: int,
     return [i % num_nodes for i in range(num_partitions)]
 
 
-class File(abc.ABC):
+class File:
     """Shared behaviour of partition-distributed structures."""
 
     def __init__(self, name: str, partitioner: Partitioner,
@@ -130,9 +129,10 @@ class File(abc.ABC):
         self._placement[pid] = node_id
         return old
 
-    @abc.abstractmethod
     def lookup(self, pointer: Pointer) -> list[Record]:
         """Locate the record(s) a pointer refers to."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement lookup()")
 
 
 class PartitionedFile(File):

@@ -11,8 +11,8 @@ a canonical byte encoding of the key.
 
 from __future__ import annotations
 
-import abc
 import bisect
+import functools
 from typing import Any, Sequence
 
 from repro.errors import PartitionError
@@ -51,17 +51,30 @@ def _canonical_bytes(key: Any) -> bytes:
     return b"r" + repr(key).encode("utf-8")
 
 
-def stable_hash(key: Any) -> int:
-    """64-bit FNV-1a hash of a canonical key encoding; process-stable."""
-    data = _canonical_bytes(key)
+def _fnv1a(key: Any) -> int:
     value = _FNV_OFFSET
-    for byte in data:
+    for byte in _canonical_bytes(key):
         value ^= byte
         value = (value * _FNV_PRIME) & _MASK64
     return value
 
 
-class Partitioner(abc.ABC):
+#: Memo of :func:`_fnv1a` for the two key types that dominate routing.
+#: Only exact ``int`` and ``str`` keys enter it: those never compare
+#: equal across types, so a hit can never hand ``True`` or ``1.0`` the
+#: hash of ``1``.  Bounded, so a long-lived process stays flat.
+_memo_fnv1a = functools.lru_cache(maxsize=1 << 14)(_fnv1a)
+
+
+def stable_hash(key: Any) -> int:
+    """64-bit FNV-1a hash of a canonical key encoding; process-stable."""
+    kind = type(key)
+    if kind is int or kind is str:
+        return _memo_fnv1a(key)
+    return _fnv1a(key)
+
+
+class Partitioner:
     """Maps partition keys to partition ids in ``[0, num_partitions)``."""
 
     def __init__(self, num_partitions: int) -> None:
@@ -70,9 +83,10 @@ class Partitioner(abc.ABC):
                 f"num_partitions must be >= 1, got {num_partitions}")
         self.num_partitions = num_partitions
 
-    @abc.abstractmethod
     def partition(self, key: Any) -> int:
         """Return the partition id for ``key``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement partition()")
 
     def validate(self, partition_id: int) -> int:
         if not 0 <= partition_id < self.num_partitions:

@@ -411,6 +411,22 @@ class TestReconciliation:
         assert any(t.state in ("expired", "cancelled") for t in tickets)
         assert gateway.engine_totals().summary() == acc.engine.summary()
 
+    def test_engine_totals_keep_batch_fill(self, catalog):
+        """A batched job's fill survives the gateway's aggregation: the
+        totals report the job's own fill and capacity, not 0."""
+        cluster, gateway = make_gateway(
+            catalog, config=EngineConfig(batch_size=16))
+        gateway.register(TenantSpec("solo"))
+        ticket = gateway.submit("solo", make_job(width=20))
+        drain(cluster, [ticket])
+        assert ticket.state == "completed"
+        job = ticket.result.metrics
+        assert job.batches > 0 and 0.0 < job.batch_fill < 1.0
+        totals = gateway.engine_totals()
+        assert totals.batched_capacity == job.batched_capacity
+        assert totals.batch_fill == job.batch_fill
+        assert totals.summary()["batch_fill"] == job.summary()["batch_fill"]
+
     def test_summary_reports_every_tenant(self, catalog):
         cluster, gateway = make_gateway(catalog)
         gateway.register(TenantSpec("a"))

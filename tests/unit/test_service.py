@@ -117,6 +117,19 @@ class TestServiceMetrics:
             m.merge_engine(job)
         assert m.engine.peak_parallelism == 7
 
+    def test_merge_engine_keeps_batch_fill(self):
+        """summary() emits the fill ratio but not its capacity
+        denominator; the merge must still fold the capacity as a sum."""
+        m = ServiceMetrics(tenant="t")
+        for probes in (3, 13):
+            job = ExecutionMetrics()
+            job.count_batch(probes, 16)
+            m.merge_engine(job)
+        assert m.engine.batches == 2
+        assert m.engine.batched_probes == 16
+        assert m.engine.batched_capacity == 32
+        assert m.engine.batch_fill == pytest.approx(0.5)
+
 
 class TestFairSchedulerLanes:
     def test_interactive_preempts_background_in_queue(self):
