@@ -124,7 +124,7 @@ class Disk:
     def random_read_batch(self, count: int, nbytes: int = 0) -> Generator:
         """Process helper: ``count`` random reads dispatched as one batch.
 
-        The batched access funnel's disk model: the batch holds a single
+        The batch charging kernel's disk model: the batch holds a single
         spindle slot and pays ``ceil(count / spindles)`` service times —
         the array streams the batch across all spindles, so ``spindles``
         reads complete per service interval.  Accounting still records

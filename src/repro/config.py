@@ -137,14 +137,17 @@ class EngineConfig:
         cache_policy: eviction policy for engine-provisioned pools.
         cache_hit_time: RAM service time charged for a buffer-pool hit
             (kept non-zero so a fully-cached dereference still yields).
-        batch_size: records/pointers dispatched per dereference batch.
-            1 (the default) keeps the per-record reference path —
-            bit-identical to the pre-batching engines and the baseline
-            equivalence tests rely on.  Larger values route stages
-            through the vectorized batch kernel: same-(file, partition)
-            targets are grouped and charged per batch (page walks
+        batch_size: records/pointers dispatched per dereference batch,
+            and the one switch that picks the access funnel's charging
+            kernel.  1 (the default) charges every probe on its own —
+            the paper's per-dereference thread, bit-identical to the
+            pre-batching engines.  Larger values make the cluster
+            engines group same-(file, partition) targets and charge
+            each group through the batch kernel (page walks
             deduplicated, one network round trip per remote owner per
-            batch, delta runs merged once per batch).
+            batch, delta runs read once per batch) — even a group of
+            one.  The reference executor ignores it: batching is a cost
+            model, and the oracle charges no time.
         batch_linger: simulated seconds a partially-filled batch buffer
             may wait for more same-stage inputs before flushing on an
             idle tick.  0 (the default) flushes the moment the stage

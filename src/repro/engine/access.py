@@ -1,16 +1,30 @@
 """Shared storage-access logic with simulated cost charging.
 
-Every engine funnels its dereferences through :func:`simulated_dereference`,
-which performs the *real* data-plane fetch (so results are correct) while
-charging virtual time for it:
+Every cluster engine reaches a record through one funnel generator,
+:func:`recovering_dereference`: it takes a list of ``(target, context)``
+probes against one partition and returns one filtered record list per
+probe.  Retries, timeouts, crash re-routing, quarantine, the delta merge
+and feedback are written once, there.  ``EngineConfig.batch_size`` alone
+picks the kernel that charges the probes:
 
-* random reads on the disk of the node that owns the partition (B-tree
+* :func:`simulated_dereference` (``batch_size=1``) charges one probe —
+  the paper's per-dereference thread.  It performs the *real* data-plane
+  fetch (so results are correct) while charging virtual time for it:
+  random reads on the disk of the node that owns the partition (B-tree
   probes pay one read per page traversed; base-file lookups one per heap
-  page the fetched record bytes span) — and when the owning node carries a
-  :class:`~repro.storage.cache.BufferPool`, each traversed page consults
-  it first, so hits cost RAM service time instead of a disk read;
-* a network round trip when the executing node is not the owner;
-* a sliver of CPU on the executing node for filtering fetched records.
+  page the fetched record bytes span) — and when the owning node carries
+  a :class:`~repro.storage.cache.BufferPool`, each traversed page
+  consults it first, so hits cost RAM service time instead of a disk
+  read; a network round trip when the executing node is not the owner;
+  and a sliver of CPU on the executing node for filtering fetched
+  records.
+* :func:`batched_dereference` (``batch_size>1``) charges a whole probe
+  list at once, under the batch charging rules listed above it.
+
+The kernels are two cost models, not one model with a fork: the page
+reads of one probe are dependent and serialize, while a batch stripes
+its reads across spindles.  The reference executor charges no time and
+counts accesses through :func:`count_only_dereference`.
 
 This module is also where physical-plan access paths meet the engines:
 scan-backed stages (a :class:`~repro.plan.scanstage.
@@ -19,7 +33,7 @@ here and charged as one parallel sequential pass that builds a
 replicated hash table — every node scans its local partitions, spends
 build CPU, and ships its share to peers — after which each probe costs
 only in-memory lookup CPU.  Because every engine funnels through this
-function, SMPE, the partitioned engine, and the reference executor all
+module, SMPE, the partitioned engine, and the reference executor all
 run mixed scan/index jobs without any engine-side changes.
 
 Partition resolution (:func:`resolve_partitions`) also implements the
@@ -29,7 +43,6 @@ structural pruning a range partitioner affords to range probes.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional,
                     Sequence, Union)
 
@@ -61,12 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["resolve_partitions", "initial_probe_pids",
            "simulated_dereference", "recovering_dereference",
            "count_only_dereference", "batched_dereference",
-           "resilient_dereference_batch", "recovering_dereference_batch",
-           "count_only_dereference_batch",
            "classify_failure", "stamp_watermark", "stamp_epoch"]
 
 Target = Union[Pointer, PointerRange]
-#: one batched work item: (target, carried context)
+#: one funnel work item: (target, carried context)
 Probe = tuple[Target, Any]
 
 
@@ -191,16 +202,18 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
     the dead node's partitions (replica promotion) instead of a dead disk.
     """
     if isinstance(dereferencer, ScanLookupDereferencer):
-        records = yield from _scan_stage_dereference(
-            cluster, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context)
-        return records
+        outputs = yield from _scan_stage_dereference(
+            cluster, metrics, stage, dereferencer, file,
+            [(target, context)], partition_id, executing_node)
+        return outputs[0]
     home = file.node_of(partition_id)
     owner = cluster.serving_node(home)
     sim = cluster.sim
     start_time = sim.now
     records = dereferencer.fetch(file, target, partition_id)
-    fetched_bytes = sum(record.size_bytes for record in records)
+    fetched_bytes = 0
+    for record in records:
+        fetched_bytes += record.size_bytes
     is_index = isinstance(file, BtreeFile)
     owner_node = cluster.nodes[owner]
     owner_disk = owner_node.disk
@@ -343,21 +356,29 @@ def _scan_stage_build(cluster: Cluster, metrics: ExecutionMetrics,
 def _scan_stage_dereference(cluster: Cluster, metrics: ExecutionMetrics,
                             stage: int,
                             dereferencer: ScanLookupDereferencer,
-                            file: File, target: Target, partition_id: int,
-                            executing_node: int, context: Any) -> Iterator:
-    """One probe of a scan-backed stage: build-once, then memory lookups."""
+                            file: File, probes: Sequence[Probe],
+                            partition_id: int,
+                            executing_node: int) -> Iterator:
+    """Probes of a scan-backed stage: build-once, then memory lookups
+    (one CPU charge for all of them).  Returns one filtered record list
+    per probe."""
     start_time = cluster.sim.now
     yield from _scan_stage_build(cluster, metrics, dereferencer, file)
-    records = dereferencer.fetch(file, target, partition_id)
-    metrics.count_fetch(stage, len(records), False, 0)
-    if records:
-        yield from cluster.node(executing_node).process_tuples(len(records))
+    fetched = [dereferencer.fetch(file, target, partition_id)
+               for target, __ in probes]
+    total_records = sum(len(records) for records in fetched)
+    metrics.count_fetch(stage, total_records, False, 0)
+    if total_records:
+        yield from cluster.node(executing_node).process_tuples(
+            total_records)
     if metrics.trace is not None:
         metrics.trace.append(TraceEvent(
             stage=stage, node=executing_node, partition=partition_id,
-            owner_node=executing_node, num_records=len(records),
-            start=start_time, end=cluster.sim.now))
-    return dereferencer.apply_filter(records, context)
+            owner_node=executing_node, num_records=total_records,
+            start=start_time, end=cluster.sim.now,
+            batch_size=len(probes)))
+    return [dereferencer.apply_filter(records, context)
+            for records, (__, context) in zip(fetched, probes)]
 
 
 def _corruption_error(file: File, page: PageId) -> StructureCorruptionError:
@@ -395,25 +416,34 @@ def _trace_fault(cluster: Cluster, metrics: ExecutionMetrics, stage: int,
 def _timed_dereference(cluster: Cluster, config: EngineConfig,
                        metrics: ExecutionMetrics, stage: int,
                        dereferencer: Dereferencer, file: File,
-                       target: Target, partition_id: int,
-                       executing_node: int, context: Any) -> Iterator:
-    """One dereference attempt raced against the invocation timeout.
+                       probes: Sequence[Probe], partition_id: int,
+                       executing_node: int, batch: bool) -> Iterator:
+    """One attempt of a funnel unit raced against the invocation timeout.
 
-    The attempt runs as its own simulated process so the caller can
-    abandon it: when the timer wins, the in-flight IO keeps occupying its
-    resources (as a real abandoned request would) but its records and any
-    late exception are discarded, and :class:`DereferenceTimeout` is
-    raised for the retry loop to handle.
+    The attempt runs the unit's kernel — :func:`batched_dereference` for
+    a batch, :func:`simulated_dereference` for a one-probe per-record
+    unit — as its own simulated process so the caller can abandon it:
+    when the timer wins, the in-flight IO keeps occupying its resources
+    (as a real abandoned request would) but its records and any late
+    exception are discarded, and :class:`DereferenceTimeout` is raised
+    for the retry loop to handle.  The timeout is per dispatch, so a
+    batch gets the same budget a single probe does.
     """
 
     def attempt():
         try:
-            records = yield from simulated_dereference(
-                cluster, config, metrics, stage, dereferencer, file, target,
-                partition_id, executing_node, context)
+            if batch:
+                outputs = yield from batched_dereference(
+                    cluster, config, metrics, stage, dereferencer, file,
+                    probes, partition_id, executing_node)
+            else:
+                target, context = probes[0]
+                outputs = [(yield from simulated_dereference(
+                    cluster, config, metrics, stage, dereferencer, file,
+                    target, partition_id, executing_node, context))]
         except Exception as exc:  # captured: the waiter decides what to do
             return ("error", exc)
-        return ("ok", records)
+        return ("ok", outputs)
 
     sim = cluster.sim
     proc = sim.process(attempt(), name=f"deref-attempt@{executing_node}")
@@ -588,32 +618,28 @@ def _recovery_probe(cluster: Cluster, metrics: ExecutionMetrics, stage: int,
     return dereferencer.apply_filter(records, context)
 
 
-def _has_deltas(catalog: Optional["StructureCatalog"], dereferencer: Any,
-                file: File) -> bool:
-    """True when this probe must consult unmerged delta runs.
-
-    On a static lake (no registry, or zero runs for this structure) this
-    is False for every probe, keeping the whole delta path a strict
-    no-op.  Scan-backed stages are excluded: their hash table is itself
-    delta-merged at build time (newest-wins, rebuilt when a run
-    commits), so a per-probe merge would double-count.
-    """
-    return (catalog is not None
-            and not isinstance(dereferencer, ScanLookupDereferencer)
-            and catalog.delta_depth(file.name) > 0)
+def _consults_runs(file: File, target: Target) -> bool:
+    """True when a probe of ``target`` merges (and pays for) the
+    structure's unmerged runs: every index probe and every logical base
+    probe.  Physical base probes address one slot already vetted by the
+    index-side tombstone filter: nothing to merge, nothing to pay."""
+    return isinstance(file, BtreeFile) or (
+        isinstance(target, Pointer) and target.kind is PointerKind.LOGICAL)
 
 
 def _merge_deltas(metrics: ExecutionMetrics, dereferencer: Dereferencer,
                   file: File, target: Target, partition_id: int,
                   context: Any, runs: list,
-                  records: list[Record]) -> tuple[list[Record], int]:
+                  records: list[Record]) -> list[Record]:
     """Fold a base probe's result with the structure's unmerged runs.
 
-    Returns ``(records, runs_consulted)``; the caller charges one
-    random read per consulted run.  Newest wins throughout: built-tree
-    entries killed by tombstones, base-heap records killed by upsert
-    key sets, older-run payloads killed by newer runs' upserts.
+    Newest wins throughout: built-tree entries killed by tombstones,
+    base-heap records killed by upsert key sets, older-run payloads
+    killed by newer runs' upserts.  Charges nothing; the cluster funnel
+    pays for the runs in :func:`_charged_delta_merge`.
     """
+    if not _consults_runs(file, target):
+        return records
     if isinstance(file, BtreeFile):
         tombstones = tombstone_set(runs, partition_id)
         if tombstones:
@@ -629,8 +655,8 @@ def _merge_deltas(metrics: ExecutionMetrics, dereferencer: Dereferencer,
                 kept.append(record)
             records = kept
         additions, superseded = probe_delta_runs(runs, partition_id, target)
-    elif (isinstance(target, Pointer)
-            and target.kind is PointerKind.LOGICAL):
+    else:
+        assert isinstance(target, Pointer)  # a logical base probe
         if is_delta_tag(target.key):
             # Synthetic address of one delta record; after a compaction
             # folded the run, the heap alias already resolved it above.
@@ -645,37 +671,43 @@ def _merge_deltas(metrics: ExecutionMetrics, dereferencer: Dereferencer,
                 records = []
             additions, superseded = probe_delta_runs(
                 runs, partition_id, target)
-    else:
-        # Physical base probes address one slot already vetted by the
-        # index-side tombstone filter: nothing to merge, nothing to pay.
-        return records, 0
     metrics.delta_superseded += superseded
     metrics.delta_probes += len(runs)
     if additions:
         additions = dereferencer.apply_filter(list(additions), context)
         metrics.delta_entries += len(additions)
         records = records + additions
-    return records, len(runs)
+    return records
 
 
 def _charged_delta_merge(cluster: Cluster, metrics: ExecutionMetrics,
                          dereferencer: Dereferencer, file: File,
-                         target: Target, partition_id: int, context: Any,
-                         catalog: "StructureCatalog",
-                         records: list[Record]) -> Iterator:
-    """Delta merge plus simulated cost: one random read per run, on the
-    disk serving the probed partition."""
-    runs = catalog.delta_runs(file.name)
-    records, consulted = _merge_deltas(
-        metrics, dereferencer, file, target, partition_id, context,
-        runs, records)
-    if consulted:
-        owner = cluster.serving_node(file.node_of(partition_id))
-        disk = cluster.node(owner).disk
-        for __ in range(consulted):
-            yield from disk.random_read()
-        metrics.random_reads += consulted
-    return records
+                         probes: Sequence[Probe], partition_id: int,
+                         catalog: "StructureCatalog", outputs: list,
+                         batch: bool) -> Iterator:
+    """Delta merge for one funnel unit plus its simulated cost, on the
+    disk serving the probed partition.
+
+    Every probe that consults the runs merges them.  A per-record unit
+    pays one random read per run; a batch reads the runs **once** (one
+    batched read) for all its probes — the batched charging rule.  The
+    reads are paid before the merge counts anything, so a unit retried
+    after a failed delta-run read counts its merge once."""
+    # A snapshot: a run committed while the reads are in flight is the
+    # next probe's to merge, not this one's.
+    runs = list(catalog.delta_runs(file.name))
+    if runs and any(_consults_runs(file, target) for target, __ in probes):
+        disk = cluster.node(cluster.serving_node(
+            file.node_of(partition_id))).disk
+        if batch:
+            yield from disk.random_read_batch(len(runs))
+        else:
+            for __ in runs:
+                yield from disk.random_read()
+        metrics.random_reads += len(runs)
+    return [_merge_deltas(metrics, dereferencer, file, target, partition_id,
+                          context, runs, records)
+            for (target, context), records in zip(probes, outputs)]
 
 
 def stamp_watermark(metrics: ExecutionMetrics,
@@ -715,18 +747,36 @@ def stamp_epoch(metrics: ExecutionMetrics, cluster: "Cluster") -> None:
 def recovering_dereference(cluster: Cluster, config: EngineConfig,
                            metrics: ExecutionMetrics, stage: int,
                            dereferencer: Dereferencer, file: File,
-                           target: Target, partition_id: int,
-                           executing_node: int, context: Any, *,
+                           probes: Sequence[Probe], partition_id: int,
+                           executing_node: int, *,
                            catalog: Optional["StructureCatalog"] = None,
                            failures: Optional[FailureReport] = None,
                            runtime: Optional[dict] = None,
-                           abort_check: Optional[Callable[[], bool]] = None
-                           ) -> Iterator:
-    """The per-record access funnel: one generator, policy by branch.
+                           abort_check: Optional[Callable[[], bool]] = None,
+                           nested: bool = False) -> Iterator:
+    """The access funnel: one generator, policy by branch.
 
-    The engines' only way to a record.  On a healthy, fault-free cluster
-    it is :func:`simulated_dereference` plus nothing: zero extra
-    simulated events, byte-identical charges.  Around that one call sit:
+    The cluster engines' only way to a record.  ``probes`` are ``(target,
+    context)`` pairs against partition ``partition_id``; the generator
+    returns one filtered record list per probe, in probe order.  The
+    probes are charged in *units*, one kernel call each:
+
+    * at ``batch_size=1`` every probe is its own unit, charged by
+      :func:`simulated_dereference`.  On a healthy, fault-free cluster
+      the funnel adds nothing to that one call: zero extra simulated
+      events, byte-identical charges;
+    * at ``batch_size>1`` the whole list is one unit, charged by
+      :func:`batched_dereference` — even a list of one.  Under an active
+      page-corruption plan or against a sick structure the list degrades
+      to per-record units, so the quarantine protocol runs per probe
+      (batching buys nothing on a path whose cost is dominated by the
+      recovery scan anyway).
+
+    A call of several per-record units runs each as a ``nested`` pass of
+    this generator: one probe, the per-record kernel, and no feedback of
+    its own.  A call of one unit — every call on the hot path — runs it
+    inline, so the per-record path stays two generator frames deep.
+    Around each unit's kernel call sit:
 
     * **retries** — transient faults (IO errors, network drops) and
       **timeouts** (``config.dereference_timeout``, raced by
@@ -738,10 +788,10 @@ def recovering_dereference(cluster: Cluster, config: EngineConfig,
       User-code exceptions are never retried — they propagate unchanged;
     * **crash re-routing** — the executing side re-resolves through
       :meth:`Cluster.serving_node` each attempt, and the owner side is
-      re-resolved inside :func:`simulated_dereference`, so in-flight work
-      moves to survivors without consuming the retry budget;
+      re-resolved inside the kernel, so in-flight work moves to survivors
+      without consuming the retry budget;
     * **abort** — ``abort_check`` (when supplied) is consulted at each
-      attempt boundary: once it reports True the invocation gives up and
+      attempt boundary: once it reports True the unit gives up and
       fetches nothing instead of burning backoff time and disk on a job
       that has been cancelled — its output is discarded anyway;
     * **quarantine** — with a catalog and recovery ``runtime`` supplied,
@@ -756,104 +806,132 @@ def recovering_dereference(cluster: Cluster, config: EngineConfig,
       without touching the sick pages; structures with no registered
       definition (no base file to rebuild from) propagate the corruption
       error to the engine's failure policy;
-    * **delta merge** — on a streaming lake the result is folded with the
-      structure's unmerged runs, one charged random read per run;
+    * **delta merge** — on a streaming lake each unit's result is folded
+      with the structure's unmerged runs (:func:`_charged_delta_merge`)
+      inside the retry loop, so a fault on a delta-run read retries the
+      unit like a fault on its base read;
     * **feedback** — when ``config.feedback`` carries a
-      :class:`~repro.plan.feedback.RuntimeFeedback`, the stage's
-      post-filter output count is reported: the observed cardinality
-      adaptive re-optimization corrects estimates with.
+      :class:`~repro.plan.feedback.RuntimeFeedback`, the call's total
+      post-filter output count is reported, once (a nested pass leaves
+      it to its caller): the observed cardinality adaptive
+      re-optimization corrects estimates with.
     """
-    fresh = _has_deltas(catalog, dereferencer, file)
-    #: quarantine protocol armed / structure already sick and re-servable
-    guarded = sick_recoverable = False
-    if (catalog is not None and runtime is not None
+    # fresh: unmerged delta runs to fold in (never on a static lake, so
+    # the delta path is a strict no-op there); guarded: the quarantine
+    # protocol is armed, as corruption is injected or the structure is
+    # already sick; sick: sick and re-servable from its base file.
+    # Scan-backed stages need none of it: their hash table is itself
+    # delta-merged at build time (a per-probe merge would double-count)
+    # and reads no index pages.
+    fresh = guarded = sick = False
+    if (catalog is not None
             and not isinstance(dereferencer, ScanLookupDereferencer)):
-        injector = cluster.faults
-        sick = isinstance(file, BtreeFile) and not catalog.healthy(file.name)
-        guarded = sick or (injector is not None and injector.has_corruption)
-        sick_recoverable = sick and _scan_recoverable(catalog, file.name)
-    if sick_recoverable:
-        assert catalog is not None and runtime is not None
-        records = yield from _recovery_probe(
-            cluster, metrics, stage, dereferencer, file, target,
-            partition_id, executing_node, context, catalog, runtime)
+        fresh = catalog.delta_depth(file.name) > 0
+        if runtime is not None:
+            injector = cluster.faults
+            sick = (isinstance(file, BtreeFile)
+                    and not catalog.healthy(file.name))
+            guarded = sick or (injector is not None
+                               and injector.has_corruption)
+            sick = sick and _scan_recoverable(catalog, file.name)
+    batch = config.batch_size > 1 and not (nested or guarded)
+    if len(probes) != 1 and not batch:
+        outputs: list[list[Record]] = []
+        for probe in probes:
+            outputs += yield from recovering_dereference(
+                cluster, config, metrics, stage, dereferencer, file,
+                [probe], partition_id, executing_node, catalog=catalog,
+                failures=failures, runtime=runtime, abort_check=abort_check,
+                nested=True)
     else:
         attempt = crash_hops = 0
-        try:
-            while True:
-                if abort_check is not None and abort_check():
-                    records = []
-                    break
-                exec_node = cluster.serving_node(executing_node)
-                try:
-                    if config.dereference_timeout > 0:
-                        records = yield from _timed_dereference(
-                            cluster, config, metrics, stage, dereferencer,
-                            file, target, partition_id, exec_node, context)
-                    else:
-                        records = yield from simulated_dereference(
-                            cluster, config, metrics, stage, dereferencer,
-                            file, target, partition_id, exec_node, context)
-                    break
-                except NodeCrashed as exc:
-                    crash_hops += 1
-                    metrics.count_fault("node-crash")
-                    _trace_fault(cluster, metrics, stage, exec_node,
-                                 partition_id, "fault:node-crash")
-                    if crash_hops > cluster.num_nodes:
-                        raise ExecutionError(
-                            f"no surviving node could serve {file.name!r} "
-                            f"partition {partition_id}") from exc
-                except TransientIOError as exc:
-                    kind = classify_failure(exc)
-                    metrics.count_fault(kind)
-                    _trace_fault(cluster, metrics, stage, exec_node,
-                                 partition_id, f"fault:{kind}")
-                    if config.on_error == "fail":
-                        raise
-                    if attempt >= config.max_retries:
-                        raise ExecutionError(
-                            f"dereference of {file.name!r} partition "
-                            f"{partition_id} on node {exec_node} failed "
-                            f"after {attempt} "
-                            f"retr{'ies' if attempt != 1 else 'y'}") from exc
-                    delay = _backoff_delay(cluster, config, exec_node,
-                                           attempt)
-                    attempt += 1
-                    metrics.retries += 1
-                    _trace_fault(cluster, metrics, stage, exec_node,
-                                 partition_id, "retry")
-                    if delay > 0:
-                        yield cluster.sim.timeout(delay)
-        except StructureCorruptionError as exc:
-            if not guarded:
-                raise
-            assert catalog is not None and runtime is not None
-            metrics.corruptions_detected += 1
-            name = file.name
-            if not (isinstance(file, BtreeFile)
-                    and _scan_recoverable(catalog, name)):
-                raise
-            if catalog.healthy(name):
-                catalog.quarantine(name)
-                metrics.quarantines += 1
-                cluster.invalidate_cached_file(name)
-                if failures is not None:
-                    failures.note_quarantine(FailureRecord(
-                        stage=stage, node=executing_node,
-                        partition=partition_id, kind="corruption",
-                        error=str(exc), attempts=1, time=cluster.sim.now))
-            records = yield from _recovery_probe(
-                cluster, metrics, stage, dereferencer, file, target,
-                partition_id, executing_node, context, catalog, runtime)
-    if fresh:
-        assert catalog is not None
-        records = yield from _charged_delta_merge(
-            cluster, metrics, dereferencer, file, target, partition_id,
-            context, catalog, records)
-    if config.feedback is not None:
-        config.feedback.observe(stage, len(records))
-    return records
+        while True:
+            if abort_check is not None and abort_check():
+                outputs = [[] for __ in probes]
+                break
+            exec_node = cluster.serving_node(executing_node)
+            try:
+                if sick:
+                    assert catalog is not None and runtime is not None
+                    target, context = probes[0]
+                    outputs = [(yield from _recovery_probe(
+                        cluster, metrics, stage, dereferencer, file, target,
+                        partition_id, executing_node, context, catalog,
+                        runtime))]
+                elif config.dereference_timeout > 0:
+                    outputs = yield from _timed_dereference(
+                        cluster, config, metrics, stage, dereferencer, file,
+                        probes, partition_id, exec_node, batch)
+                elif batch:
+                    outputs = yield from batched_dereference(
+                        cluster, config, metrics, stage, dereferencer, file,
+                        probes, partition_id, exec_node)
+                else:
+                    target, context = probes[0]
+                    outputs = [(yield from simulated_dereference(
+                        cluster, config, metrics, stage, dereferencer, file,
+                        target, partition_id, exec_node, context))]
+                if fresh:
+                    assert catalog is not None
+                    outputs = yield from _charged_delta_merge(
+                        cluster, metrics, dereferencer, file, probes,
+                        partition_id, catalog, outputs, batch)
+                break
+            except NodeCrashed as exc:
+                crash_hops += 1
+                metrics.count_fault("node-crash")
+                _trace_fault(cluster, metrics, stage, exec_node,
+                             partition_id, "fault:node-crash")
+                if crash_hops > cluster.num_nodes:
+                    raise ExecutionError(
+                        f"no surviving node could serve {file.name!r} "
+                        f"partition {partition_id}") from exc
+            except TransientIOError as exc:
+                kind = classify_failure(exc)
+                metrics.count_fault(kind)
+                _trace_fault(cluster, metrics, stage, exec_node,
+                             partition_id, f"fault:{kind}")
+                if config.on_error == "fail":
+                    raise
+                if attempt >= config.max_retries:
+                    raise ExecutionError(
+                        f"dereference of {file.name!r} partition "
+                        f"{partition_id} on node {exec_node} failed "
+                        f"after {attempt} "
+                        f"retr{'ies' if attempt != 1 else 'y'}") from exc
+                delay = _backoff_delay(cluster, config, exec_node, attempt)
+                attempt += 1
+                metrics.retries += 1
+                _trace_fault(cluster, metrics, stage, exec_node,
+                             partition_id, "retry")
+                if delay > 0:
+                    yield cluster.sim.timeout(delay)
+            except StructureCorruptionError as exc:
+                if not guarded:
+                    raise
+                assert catalog is not None
+                metrics.corruptions_detected += 1
+                name = file.name
+                if not (isinstance(file, BtreeFile)
+                        and _scan_recoverable(catalog, name)):
+                    raise
+                if catalog.healthy(name):
+                    catalog.quarantine(name)
+                    metrics.quarantines += 1
+                    cluster.invalidate_cached_file(name)
+                    if failures is not None:
+                        failures.note_quarantine(FailureRecord(
+                            stage=stage, node=executing_node,
+                            partition=partition_id, kind="corruption",
+                            error=str(exc), attempts=1,
+                            time=cluster.sim.now))
+                # The next pass re-serves the probe from the recovery
+                # table built over the base file.
+                sick = True
+    if config.feedback is not None and not nested:
+        config.feedback.observe(stage, sum(len(records)
+                                           for records in outputs))
+    return outputs
 
 
 def count_only_dereference(metrics: ExecutionMetrics, stage: int,
@@ -895,9 +973,8 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
     metrics.count_fetch(stage, len(records), isinstance(file, BtreeFile),
                         reads)
     records = dereferencer.apply_filter(records, context)
-    if _has_deltas(catalog, dereferencer, file):
-        assert catalog is not None
-        records, __ = _merge_deltas(
+    if catalog is not None and catalog.delta_depth(file.name) > 0:
+        records = _merge_deltas(
             metrics, dereferencer, file, target, partition_id, context,
             catalog.delta_runs(file.name), records)
     if feedback is not None:
@@ -906,10 +983,11 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
 
 
 # --------------------------------------------------------------------------
-# The batched access funnel
+# The batch charging kernel
 #
-# Same-(file, partition) targets grouped by the engines are dispatched as
-# one batch, with per-batch simulated cost (the documented charging rules):
+# At ``batch_size>1`` the engines group same-(file, partition) targets and
+# the funnel charges each group as one batch, with per-batch simulated cost
+# (the documented charging rules):
 #
 # * **page walks dedupe across the batch**: each unique page is consulted
 #   against the buffer pool once; all hits cost one combined RAM timeout,
@@ -924,13 +1002,16 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
 #   records;
 # * **CPU charged per batch, sliver per record**: one ``process_tuples``
 #   call over the combined record count;
-# * **delta runs merge once per batch**: the merge consults each unmerged
-#   run once (one batched read), not once per probe;
+# * **delta runs merge once per batch**: the funnel's delta merge reads
+#   each unmerged run once (one batched read), not once per probe;
 # * **one fault draw / corruption check sweep per batch**: a transient
 #   fault or checksum failure fails (and retries) the batch as a unit.
 #
-# ``batch_size=1`` never reaches these functions — the engines route it
-# through the per-record path above, which stays bit-identical.
+# The rules apply to every batch, a batch of one included: its page reads
+# still stripe across spindles (``ceil(k / spindles)`` service times),
+# where the per-record kernel serializes a probe's dependent reads.  So
+# ``batch_size``, never the number of probes, picks this kernel, and
+# ``batch_size=1`` never reaches it.
 # --------------------------------------------------------------------------
 
 
@@ -943,9 +1024,10 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
 
     Returns one filtered record list per probe, in probe order."""
     if isinstance(dereferencer, ScanLookupDereferencer):
-        outputs = yield from _scan_stage_dereference_batch(
-            cluster, config, metrics, stage, dereferencer, file, probes,
+        outputs = yield from _scan_stage_dereference(
+            cluster, metrics, stage, dereferencer, file, probes,
             partition_id, executing_node)
+        metrics.count_batch(len(probes), config.batch_size)
         return outputs
     home = file.node_of(partition_id)
     owner = cluster.serving_node(home)
@@ -1034,279 +1116,3 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
             batch_size=len(probes)))
     return [dereferencer.apply_filter(records, context)
             for records, (__, context) in zip(fetched, probes)]
-
-
-def _scan_stage_dereference_batch(cluster: Cluster, config: EngineConfig,
-                                  metrics: ExecutionMetrics, stage: int,
-                                  dereferencer: ScanLookupDereferencer,
-                                  file: File, probes: Sequence[Probe],
-                                  partition_id: int,
-                                  executing_node: int) -> Iterator:
-    """One batch of probes against a scan-backed stage's hash table."""
-    start_time = cluster.sim.now
-    yield from _scan_stage_build(cluster, metrics, dereferencer, file)
-    fetched = [dereferencer.fetch(file, target, partition_id)
-               for target, __ in probes]
-    total_records = sum(len(records) for records in fetched)
-    metrics.count_fetch(stage, total_records, False, 0)
-    if total_records:
-        yield from cluster.node(executing_node).process_tuples(
-            total_records)
-    metrics.count_batch(len(probes), config.batch_size)
-    if metrics.trace is not None:
-        metrics.trace.append(TraceEvent(
-            stage=stage, node=executing_node, partition=partition_id,
-            owner_node=executing_node, num_records=total_records,
-            start=start_time, end=cluster.sim.now,
-            batch_size=len(probes)))
-    return [dereferencer.apply_filter(records, context)
-            for records, (__, context) in zip(fetched, probes)]
-
-
-def _timed_batched_dereference(cluster: Cluster, config: EngineConfig,
-                               metrics: ExecutionMetrics, stage: int,
-                               dereferencer: Dereferencer, file: File,
-                               probes: Sequence[Probe], partition_id: int,
-                               executing_node: int) -> Iterator:
-    """One batch attempt raced against the invocation timeout (which is
-    per dispatch, so a batch gets the same budget a single probe does)."""
-
-    def attempt():
-        try:
-            outputs = yield from batched_dereference(
-                cluster, config, metrics, stage, dereferencer, file,
-                probes, partition_id, executing_node)
-        except Exception as exc:  # captured: the waiter decides what to do
-            return ("error", exc)
-        return ("ok", outputs)
-
-    sim = cluster.sim
-    proc = sim.process(attempt(), name=f"deref-batch@{executing_node}")
-    timer = sim.timeout(config.dereference_timeout)
-    index, value = yield sim.any_of([proc, timer])
-    if index == 1:
-        raise DereferenceTimeout(
-            f"batched dereference of {file.name!r} partition "
-            f"{partition_id} ({len(probes)} probes) exceeded "
-            f"{config.dereference_timeout}s on node {executing_node}")
-    outcome, payload = value
-    if outcome == "error":
-        raise payload
-    return payload
-
-
-def resilient_dereference_batch(cluster: Cluster, config: EngineConfig,
-                                metrics: ExecutionMetrics, stage: int,
-                                dereferencer: Dereferencer, file: File,
-                                probes: Sequence[Probe], partition_id: int,
-                                executing_node: int,
-                                abort_check: Optional[Callable[[], bool]]
-                                = None) -> Iterator:
-    """Fault-tolerant batched dereference.
-
-    The batch is the retry unit: a transient fault, timeout, or crash
-    re-runs the whole batch (one fault draw covered it, so no probe's
-    result was kept).  The retry/backoff/re-route policy is exactly
-    :func:`recovering_dereference`'s."""
-    attempt = 0
-    crash_hops = 0
-    while True:
-        if abort_check is not None and abort_check():
-            return [[] for __ in probes]
-        exec_node = cluster.serving_node(executing_node)
-        try:
-            if config.dereference_timeout > 0:
-                outputs = yield from _timed_batched_dereference(
-                    cluster, config, metrics, stage, dereferencer, file,
-                    probes, partition_id, exec_node)
-            else:
-                outputs = yield from batched_dereference(
-                    cluster, config, metrics, stage, dereferencer, file,
-                    probes, partition_id, exec_node)
-            return outputs
-        except NodeCrashed as exc:
-            crash_hops += 1
-            metrics.count_fault("node-crash")
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         "fault:node-crash")
-            if crash_hops > cluster.num_nodes:
-                raise ExecutionError(
-                    f"no surviving node could serve {file.name!r} "
-                    f"partition {partition_id}") from exc
-            continue
-        except TransientIOError as exc:
-            kind = classify_failure(exc)
-            metrics.count_fault(kind)
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         f"fault:{kind}")
-            if config.on_error == "fail":
-                raise
-            if attempt >= config.max_retries:
-                raise ExecutionError(
-                    f"batched dereference of {file.name!r} partition "
-                    f"{partition_id} on node {exec_node} failed after "
-                    f"{attempt} retr{'ies' if attempt != 1 else 'y'}"
-                ) from exc
-            delay = _backoff_delay(cluster, config, exec_node, attempt)
-            attempt += 1
-            metrics.retries += 1
-            _trace_fault(cluster, metrics, stage, exec_node, partition_id,
-                         "retry")
-            if delay > 0:
-                yield cluster.sim.timeout(delay)
-
-
-def _charged_delta_merge_batch(cluster: Cluster, metrics: ExecutionMetrics,
-                               dereferencer: Dereferencer, file: File,
-                               probes: Sequence[Probe], partition_id: int,
-                               catalog: "StructureCatalog",
-                               outputs: list) -> Iterator:
-    """Delta merge for a whole batch: every probe merges, but the runs
-    are read **once per batch** (one batched read over the consulted
-    runs) instead of once per probe — the batched charging rule."""
-    runs = catalog.delta_runs(file.name)
-    consulted_max = 0
-    merged = []
-    for (target, context), records in zip(probes, outputs):
-        records, consulted = _merge_deltas(
-            metrics, dereferencer, file, target, partition_id, context,
-            runs, records)
-        consulted_max = max(consulted_max, consulted)
-        merged.append(records)
-    if consulted_max:
-        owner = cluster.serving_node(file.node_of(partition_id))
-        disk = cluster.node(owner).disk
-        yield from disk.random_read_batch(consulted_max)
-        metrics.random_reads += consulted_max
-    return merged
-
-
-def recovering_dereference_batch(cluster: Cluster, config: EngineConfig,
-                                 metrics: ExecutionMetrics, stage: int,
-                                 dereferencer: Dereferencer, file: File,
-                                 probes: Sequence[Probe], partition_id: int,
-                                 executing_node: int, *,
-                                 catalog: Optional["StructureCatalog"]
-                                 = None,
-                                 failures: Optional[FailureReport] = None,
-                                 runtime: Optional[dict] = None,
-                                 abort_check: Optional[Callable[[], bool]]
-                                 = None) -> Iterator:
-    """Batched counterpart of :func:`recovering_dereference`.
-
-    The healthy path dispatches the whole batch through
-    :func:`resilient_dereference_batch` and merges deltas once per
-    batch.  Under active corruption or against a sick structure the
-    batch degrades to per-probe :func:`recovering_dereference` calls, so
-    the quarantine protocol stays single-sourced (batching buys nothing
-    on a path whose cost is dominated by the recovery scan anyway).
-
-    Like the per-record funnel, reports the batch's total post-filter
-    output into ``config.feedback`` when one is attached; the degraded
-    path runs the per-record funnel with feedback detached so each
-    record is observed exactly once, here."""
-    outputs = yield from _recovering_dereference_batch_impl(
-        cluster, config, metrics, stage, dereferencer, file, probes,
-        partition_id, executing_node, catalog=catalog, failures=failures,
-        runtime=runtime, abort_check=abort_check)
-    if config.feedback is not None:
-        config.feedback.observe(
-            stage, sum(len(records) for records in outputs))
-    return outputs
-
-
-def _recovering_dereference_batch_impl(
-        cluster: Cluster, config: EngineConfig,
-        metrics: ExecutionMetrics, stage: int,
-        dereferencer: Dereferencer, file: File,
-        probes: Sequence[Probe], partition_id: int,
-        executing_node: int, *,
-        catalog: Optional["StructureCatalog"] = None,
-        failures: Optional[FailureReport] = None,
-        runtime: Optional[dict] = None,
-        abort_check: Optional[Callable[[], bool]] = None) -> Iterator:
-    injector = cluster.faults
-    corrupting = injector is not None and injector.has_corruption
-    sick = (catalog is not None and isinstance(file, BtreeFile)
-            and not catalog.healthy(file.name))
-    if (catalog is not None and runtime is not None
-            and (corrupting or sick)
-            and not isinstance(dereferencer, ScanLookupDereferencer)):
-        outputs = []
-        # The batch is observed once, by the caller: an adaptive
-        # controller triggers on the running sum, so per-record
-        # observes here would move when a re-plan fires.
-        quiet = (config if config.feedback is None
-                 else dataclasses.replace(config, feedback=None))
-        for target, context in probes:
-            records = yield from recovering_dereference(
-                cluster, quiet, metrics, stage, dereferencer, file,
-                target, partition_id, executing_node, context,
-                catalog=catalog, failures=failures, runtime=runtime,
-                abort_check=abort_check)
-            outputs.append(records)
-        return outputs
-    outputs = yield from resilient_dereference_batch(
-        cluster, config, metrics, stage, dereferencer, file, probes,
-        partition_id, executing_node, abort_check=abort_check)
-    if _has_deltas(catalog, dereferencer, file):
-        assert catalog is not None
-        outputs = yield from _charged_delta_merge_batch(
-            cluster, metrics, dereferencer, file, probes, partition_id,
-            catalog, outputs)
-    return outputs
-
-
-def count_only_dereference_batch(metrics: ExecutionMetrics, stage: int,
-                                 dereferencer: Dereferencer, file: File,
-                                 probes: Sequence[Probe],
-                                 partition_id: int, *,
-                                 catalog: Optional["StructureCatalog"]
-                                 = None,
-                                 capacity: int = 0,
-                                 feedback: Optional[Any] = None) -> list:
-    """Batched counterpart of :func:`count_only_dereference` (the
-    simulation-free reference path): same fetches, batch-amortized read
-    accounting, no simulated time."""
-    if isinstance(dereferencer, ScanLookupDereferencer):
-        if dereferencer.adopt_cached(file):
-            metrics.scan_table_cache_hits += 1
-        first_probe = not dereferencer.has_table(file)
-        fetched = [dereferencer.fetch(file, target, partition_id)
-                   for target, __ in probes]
-        if first_probe:
-            delta_bytes, __ = dereferencer.delta_bytes_on(
-                file, list(range(file.num_partitions)))
-            metrics.scan_stage_builds += 1
-            metrics.scan_stage_bytes += file.total_bytes + delta_bytes
-            dereferencer.publish_table(file, file.total_bytes + delta_bytes)
-        total_records = sum(len(records) for records in fetched)
-        metrics.count_fetch(stage, total_records, False, 0)
-        metrics.count_batch(len(probes), capacity)
-        outputs = [dereferencer.apply_filter(records, context)
-                   for records, (__, context) in zip(fetched, probes)]
-        if feedback is not None:
-            feedback.observe(
-                stage, sum(len(records) for records in outputs))
-        return outputs
-    fetched = [dereferencer.fetch(file, target, partition_id)
-               for target, __ in probes]
-    all_records = [r for records in fetched for r in records]
-    reads = _fetch_cost_reads(file, len(all_records),
-                              sum(r.size_bytes for r in all_records),
-                              _REFERENCE_PAGE_SIZE)
-    metrics.count_fetch(stage, len(all_records),
-                        isinstance(file, BtreeFile), reads)
-    metrics.count_batch(len(probes), capacity)
-    outputs = [dereferencer.apply_filter(records, context)
-               for records, (__, context) in zip(fetched, probes)]
-    if _has_deltas(catalog, dereferencer, file):
-        assert catalog is not None
-        runs = catalog.delta_runs(file.name)
-        outputs = [
-            _merge_deltas(metrics, dereferencer, file, target,
-                          partition_id, context, runs, records)[0]
-            for (target, context), records in zip(probes, outputs)]
-    if feedback is not None:
-        feedback.observe(stage, sum(len(records) for records in outputs))
-    return outputs

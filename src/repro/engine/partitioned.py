@@ -29,7 +29,6 @@ from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
 from repro.engine.access import (classify_failure, initial_probe_pids,
                                  recovering_dereference,
-                                 recovering_dereference_batch,
                                  resolve_partitions, stamp_epoch,
                                  stamp_watermark)
 from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
@@ -113,14 +112,17 @@ class PartitionedEngine:
         return limit is not None and len(results) >= limit
 
     def _deref(self, metrics: ExecutionMetrics, failures: FailureReport,
-               stage: int, function: Dereferencer, file, target, pid: int,
-               node_id: int, context: Mapping[str, Any]):
-        """One policy-governed dereference; returns ``[]`` for a unit
-        dropped under ``on_error='skip'``."""
+               stage: int, function: Dereferencer, file, probes, pid: int,
+               node_id: int):
+        """One policy-governed dereference of ``probes`` (``(target,
+        context)`` pairs) against ``pid``; returns one record list per
+        probe.  The call is the failure unit: under ``on_error='skip'``
+        an unsalvageable call drops as one recorded work unit (every
+        probe empty)."""
         try:
-            records = yield from recovering_dereference(
+            outputs = yield from recovering_dereference(
                 self.cluster, self.config, metrics, stage, function, file,
-                target, pid, node_id, context, catalog=self.catalog,
+                probes, pid, node_id, catalog=self.catalog,
                 failures=failures,
                 runtime=getattr(self, "_recovery", None))
         except Exception as exc:
@@ -132,13 +134,13 @@ class PartitionedEngine:
                     error=str(exc), time=self.cluster.sim.now,
                     attempts=1 if kind == "user-error"
                     else self.config.max_retries + 1))
-                return []
+                return [[] for __ in probes]
             if kind == "user-error" or isinstance(exc, ExecutionError):
                 raise
             raise JobAborted(
                 f"job aborted by {kind} fault on node {node_id}: "
                 f"{exc}") from exc
-        return records
+        return outputs
 
     def _node_worker(self, job: Job, metrics: ExecutionMetrics,
                      failures: FailureReport, results: list[OutputRow],
@@ -152,9 +154,9 @@ class PartitionedEngine:
                 return
             pids = initial_probe_pids(file, target, node_id)
             for pid in pids:
-                records = yield from self._deref(
-                    metrics, failures, 0, dereferencer, file, target, pid,
-                    node_id, {})
+                (records,) = yield from self._deref(
+                    metrics, failures, 0, dereferencer, file,
+                    [(target, {})], pid, node_id)
                 for record in records:
                     yield from self._chain(job, metrics, failures, results,
                                            node_id, 1, record, {})
@@ -197,44 +199,14 @@ class PartitionedEngine:
         else:
             pids = resolve_partitions(file, payload)
         for pid in pids:
-            records = yield from self._deref(
-                metrics, failures, stage, function, file, payload, pid,
-                node_id, context)
+            (records,) = yield from self._deref(
+                metrics, failures, stage, function, file,
+                [(payload, context)], pid, node_id)
             for record in records:
                 yield from self._chain(job, metrics, failures, results,
                                        node_id, stage + 1, record, context)
 
     # -- batched mode (batch_size > 1) -----------------------------------
-
-    def _deref_batch(self, metrics: ExecutionMetrics,
-                     failures: FailureReport, stage: int,
-                     function: Dereferencer, file, probes, pid: int,
-                     node_id: int):
-        """One policy-governed batched dereference.  The batch is the
-        failure unit too: under ``on_error='skip'`` an unsalvageable
-        batch drops as one recorded work unit (every probe empty)."""
-        try:
-            outputs = yield from recovering_dereference_batch(
-                self.cluster, self.config, metrics, stage, function, file,
-                probes, pid, node_id, catalog=self.catalog,
-                failures=failures,
-                runtime=getattr(self, "_recovery", None))
-        except Exception as exc:
-            kind = classify_failure(exc)
-            if self.config.on_error == "skip":
-                metrics.tasks_skipped += 1
-                failures.add(FailureRecord(
-                    stage=stage, node=node_id, partition=pid, kind=kind,
-                    error=str(exc), time=self.cluster.sim.now,
-                    attempts=1 if kind == "user-error"
-                    else self.config.max_retries + 1))
-                return [[] for __ in probes]
-            if kind == "user-error" or isinstance(exc, ExecutionError):
-                raise
-            raise JobAborted(
-                f"job aborted by {kind} fault on node {node_id}: "
-                f"{exc}") from exc
-        return outputs
 
     def _node_worker_batched(self, job: Job, metrics: ExecutionMetrics,
                              failures: FailureReport,
@@ -259,7 +231,7 @@ class PartitionedEngine:
                 return
             for i in range(0, len(probes), batch_size):
                 chunk = probes[i:i + batch_size]
-                outputs = yield from self._deref_batch(
+                outputs = yield from self._deref(
                     metrics, failures, 0, dereferencer, file, chunk, pid,
                     node_id)
                 for (__, context), records in zip(chunk, outputs):
@@ -307,7 +279,7 @@ class PartitionedEngine:
                     return
                 for i in range(0, len(probes), batch_size):
                     chunk = probes[i:i + batch_size]
-                    outputs = yield from self._deref_batch(
+                    outputs = yield from self._deref(
                         metrics, failures, stage, function, file, chunk,
                         pid, node_id)
                     for (__, context), records in zip(chunk, outputs):

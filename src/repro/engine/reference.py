@@ -6,12 +6,9 @@ row set; the integration tests enforce it.  Because it still counts record
 accesses through the shared accounting path, it is also the cheap way to
 produce Figure 9's access-count comparison.
 
-With ``EngineConfig(batch_size=N)`` for ``N > 1`` the executor switches
-from the depth-first per-record walk to a breadth-first batched walk:
-each stage's pointers are grouped by target partition and dispatched in
-chunks of up to ``N`` through the batched access funnel — same rows,
-batch-amortized read accounting.  ``batch_size=1`` (the default) keeps
-the original per-record path bit-for-bit.
+The walk is always depth-first and per record.  ``EngineConfig.batch_size``
+is ignored: batching is a cost model, and the oracle has no clock to
+charge.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from repro.core.job import Job, OutputRow
 from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
 from repro.engine.access import (count_only_dereference,
-                                 count_only_dereference_batch,
                                  resolve_partitions, stamp_watermark)
 from repro.engine.metrics import ExecutionMetrics, JobResult
 from repro.errors import ExecutionError
@@ -46,9 +42,6 @@ class ReferenceExecutor:
         return None if self.config is None else self.config.feedback
 
     def execute(self, job: Job, limit: Optional[int] = None) -> JobResult:
-        batch_size = 1 if self.config is None else self.config.batch_size
-        if batch_size > 1:
-            return self._execute_batched(job, batch_size, limit)
         metrics = ExecutionMetrics()
         stamp_watermark(metrics, self.catalog)
         results: list[OutputRow] = []
@@ -71,71 +64,6 @@ class ReferenceExecutor:
         if limit is not None and len(results) > limit:
             del results[limit:]
         return JobResult(results, metrics)
-
-    def _execute_batched(self, job: Job, batch_size: int,
-                         limit: Optional[int]) -> JobResult:
-        """Breadth-first batched walk: same rows, amortized accounting."""
-        metrics = ExecutionMetrics()
-        stamp_watermark(metrics, self.catalog)
-        results: list[OutputRow] = []
-        dereferencer = job.functions[0]
-        assert isinstance(dereferencer, Dereferencer)
-        file = self.catalog.resolve(dereferencer.file_name)
-        frontier = self._deref_stage_batched(
-            metrics, 0, dereferencer, file, batch_size,
-            [(target, {}) for target in job.inputs])
-        stage = 1
-        while frontier:
-            function = job.function_at(stage)
-            if function is None:
-                results.extend(OutputRow(payload, context)
-                               for payload, context in frontier
-                               if isinstance(payload, Record))
-                break
-            if isinstance(function, Referencer):
-                next_frontier: list = []
-                for payload, context in frontier:
-                    if not isinstance(payload, Record):
-                        raise ExecutionError(
-                            f"stage {stage} expects records, got "
-                            f"{type(payload).__name__}")
-                    metrics.count_invocation(stage)
-                    next_frontier.extend(function.reference(payload,
-                                                            context))
-                frontier = next_frontier
-            else:
-                for payload, __ in frontier:
-                    if not isinstance(payload, (Pointer, PointerRange)):
-                        raise ExecutionError(
-                            f"stage {stage} expects pointers, got "
-                            f"{type(payload).__name__}")
-                file = self.catalog.resolve(function.file_name)
-                frontier = self._deref_stage_batched(
-                    metrics, stage, function, file, batch_size, frontier)
-            stage += 1
-        if limit is not None and len(results) > limit:
-            del results[limit:]
-        return JobResult(results, metrics)
-
-    def _deref_stage_batched(self, metrics: ExecutionMetrics, stage: int,
-                             function: Dereferencer, file, batch_size: int,
-                             frontier: list) -> list:
-        """Group one stage's targets by partition, dispatch in batches."""
-        groups: dict[int, list] = {}
-        for target, context in frontier:
-            for pid in resolve_partitions(file, target):
-                groups.setdefault(pid, []).append((target, context))
-        out: list = []
-        for pid, probes in groups.items():
-            for i in range(0, len(probes), batch_size):
-                chunk = probes[i:i + batch_size]
-                outputs = count_only_dereference_batch(
-                    metrics, stage, function, file, chunk, pid,
-                    catalog=self.catalog, capacity=batch_size,
-                    feedback=self._feedback)
-                for (__, context), records in zip(chunk, outputs):
-                    out.extend((record, context) for record in records)
-        return out
 
     def _done(self, results: list[OutputRow]) -> bool:
         limit = getattr(self, "_limit", None)

@@ -73,7 +73,6 @@ from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
 from repro.engine.access import (classify_failure, initial_probe_pids,
                                  recovering_dereference,
-                                 recovering_dereference_batch,
                                  resolve_partitions, stamp_epoch,
                                  stamp_watermark)
 from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
@@ -166,10 +165,10 @@ class _TaskTracker:
             return
         self._count += amount
 
-    def dec(self) -> None:
+    def dec(self, amount: int = 1) -> None:
         if self._finished:
             return
-        self._count -= 1
+        self._count -= amount
         if self._count < 0:
             raise ExecutionError("task tracker went negative")
         if self._count == 0:
@@ -438,21 +437,22 @@ class SmpeEngine:
                     chunk = targets[i:i + batch_size]
                     state.tracker.inc(len(chunk))
                     procs.append(self.cluster.launch(
-                        self._initial_probe_batch(state, node_id, chunk,
-                                                  pid),
+                        self._initial_probe(state, node_id, chunk, pid),
                         name=f"deref0@{node_id}"))
         else:
             for target, pid in probes:
                 state.tracker.inc()  # one in-flight unit per probe
                 procs.append(self.cluster.launch(
-                    self._initial_probe(state, node_id, target, pid),
+                    self._initial_probe(state, node_id, [target], pid),
                     name=f"deref0@{node_id}"))
         if procs:
             yield self.cluster.sim.all_of(procs)
         return None
 
     def _initial_probe(self, state: "_RunState", node_id: int,
-                       target: Any, pid: int):
+                       targets: list, pid: int):
+        """One stage-0 dispatch on a pooled thread: every target probes
+        ``pid``, through one funnel call."""
         pool = state.pools[node_id]
         yield pool.request()
         try:
@@ -461,38 +461,12 @@ class SmpeEngine:
             dereferencer = state.job.functions[0]
             file = self.catalog.resolve(dereferencer.file_name)
             try:
-                records = yield from recovering_dereference(
+                outputs = yield from recovering_dereference(
                     self.cluster, self.config, state.metrics, 0,
-                    dereferencer, file, target, pid, node_id, {},
-                    catalog=self.catalog, failures=state.failures,
-                    runtime=state.recovery, abort_check=state.abort_check)
-            except Exception as exc:
-                self._unit_failed(state, node_id, 0, pid, exc)
-                return
-            for record in records:                       # lines 47-51
-                self._enqueue(state, node_id,
-                              _StageInput(1, record, {}))
-        finally:
-            pool.release()
-            state.tracker.dec()
-
-    def _initial_probe_batch(self, state: "_RunState", node_id: int,
-                             targets: list, pid: int):
-        """One batched stage-0 dispatch: every target probes ``pid``."""
-        pool = state.pools[node_id]
-        yield pool.request()
-        try:
-            if state.cancelled:
-                return
-            dereferencer = state.job.functions[0]
-            file = self.catalog.resolve(dereferencer.file_name)
-            probes = [(target, {}) for target in targets]
-            try:
-                outputs = yield from recovering_dereference_batch(
-                    self.cluster, self.config, state.metrics, 0,
-                    dereferencer, file, probes, pid, node_id,
-                    catalog=self.catalog, failures=state.failures,
-                    runtime=state.recovery, abort_check=state.abort_check)
+                    dereferencer, file, [(target, {}) for target in targets],
+                    pid, node_id, catalog=self.catalog,
+                    failures=state.failures, runtime=state.recovery,
+                    abort_check=state.abort_check)
             except Exception as exc:
                 self._unit_failed(state, node_id, 0, pid, exc)
                 return
@@ -502,8 +476,7 @@ class SmpeEngine:
                                   _StageInput(1, record, {}))
         finally:
             pool.release()
-            for __ in targets:
-                state.tracker.dec()
+            state.tracker.dec(len(targets))
 
     # -- the dispatcher (EXECUTESTAGES, lines 25-42) ---------------------
 
@@ -530,7 +503,7 @@ class SmpeEngine:
                 items = buffers.pop(s, None)
                 if items:
                     self.cluster.launch(
-                        self._execute_dereferencer_batch(
+                        self._execute_dereferencer(
                             state, node_id, functions[s], items),
                         name=f"deref-batch@{node_id}")
 
@@ -615,7 +588,7 @@ class SmpeEngine:
                 # dereference invocation gets its own pooled thread.
                 self.cluster.launch(
                     self._execute_dereferencer(state, node_id, function,
-                                               item),
+                                               [item]),
                     name=f"deref@{node_id}")
 
     # -- function execution (EXECUTEFUNC, lines 43-52) -------------------
@@ -659,54 +632,16 @@ class SmpeEngine:
             pool.release()
 
     def _execute_dereferencer(self, state: "_RunState", node_id: int,
-                              function: Dereferencer, item: _StageInput):
-        pool = state.pools[node_id]
-        yield pool.request()                             # line 44
-        try:
-            if state.cancelled:
-                return
-            target = item.payload
-            if not isinstance(target, (Pointer, PointerRange)):
-                raise ExecutionError(
-                    f"stage {item.stage} expects pointers, got "
-                    f"{type(target).__name__}")
-            file = self.catalog.resolve(function.file_name)
-            # LOCAL resolution refers to the entry's logical home — after
-            # a crash re-route that is the dead node's partition share.
-            home = item.home_node if item.home_node is not None else node_id
-            pids = resolve_partitions(file, target, executing_node=home,
-                                      local_only=item.local_only)
-            for pid in pids:
-                if state.cancelled:
-                    return
-                try:
-                    records = yield from recovering_dereference(  # line 45
-                        self.cluster, self.config, state.metrics,
-                        item.stage, function, file, target, pid, node_id,
-                        item.context, catalog=self.catalog,
-                        failures=state.failures, runtime=state.recovery,
-                        abort_check=state.abort_check)
-                except Exception as exc:
-                    self._unit_failed(state, node_id, item.stage, pid, exc)
-                    continue
-                for record in records:                   # lines 47-51
-                    self._enqueue(state, node_id, _StageInput(
-                        item.stage + 1, record, item.context))
-        except Exception as exc:
-            self._unit_failed(state, node_id, item.stage, None, exc)
-        finally:
-            pool.release()
-            state.tracker.dec()
+                              function: Dereferencer,
+                              items: list[_StageInput]):
+        """One pooled thread serving one dispatched input, or a whole
+        buffered batch.
 
-    def _execute_dereferencer_batch(self, state: "_RunState", node_id: int,
-                                    function: Dereferencer,
-                                    items: list[_StageInput]):
-        """One pooled thread serving a whole buffered batch.
-
-        Targets resolve to partitions per item (a crash re-route or a
-        LOCAL broadcast share changes resolution per entry), then group
-        by partition; each group is one batched dereference, and each
-        group is its own failure unit under ``on_error='skip'``."""
+        Targets resolve to partitions per item, then group by partition;
+        each group is one funnel call, and each group is its own failure
+        unit under ``on_error='skip'``.  LOCAL resolution refers to the
+        entry's logical home — after a crash re-route that is the dead
+        node's partition share."""
         pool = state.pools[node_id]
         stage = items[0].stage
         yield pool.request()                             # line 44
@@ -714,7 +649,7 @@ class SmpeEngine:
             if state.cancelled:
                 return
             file = self.catalog.resolve(function.file_name)
-            groups: dict[int, list[_StageInput]] = {}
+            groups: dict[int, list] = {}
             for item in items:
                 target = item.payload
                 if not isinstance(target, (Pointer, PointerRange)):
@@ -725,16 +660,16 @@ class SmpeEngine:
                     continue
                 home = (item.home_node if item.home_node is not None
                         else node_id)
+                probe = (target, item.context)
                 for pid in resolve_partitions(file, target,
                                               executing_node=home,
                                               local_only=item.local_only):
-                    groups.setdefault(pid, []).append(item)
-            for pid, group in groups.items():
+                    groups.setdefault(pid, []).append(probe)
+            for pid, probes in groups.items():
                 if state.cancelled:
                     return
-                probes = [(item.payload, item.context) for item in group]
                 try:
-                    outputs = yield from recovering_dereference_batch(
+                    outputs = yield from recovering_dereference(  # line 45
                         self.cluster, self.config, state.metrics, stage,
                         function, file, probes, pid, node_id,
                         catalog=self.catalog, failures=state.failures,
@@ -743,16 +678,15 @@ class SmpeEngine:
                 except Exception as exc:
                     self._unit_failed(state, node_id, stage, pid, exc)
                     continue
-                for item, records in zip(group, outputs):
+                for (__, context), records in zip(probes, outputs):
                     for record in records:               # lines 47-51
                         self._enqueue(state, node_id, _StageInput(
-                            stage + 1, record, item.context))
+                            stage + 1, record, context))
         except Exception as exc:
             self._unit_failed(state, node_id, stage, None, exc)
         finally:
             pool.release()
-            for __ in items:
-                state.tracker.dec()
+            state.tracker.dec(len(items))
 
     # -- plumbing ---------------------------------------------------------
 

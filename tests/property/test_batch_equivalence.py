@@ -2,17 +2,20 @@
 
 Hypothesis generates small two-table lakes — optionally made *fresh* by
 streaming committed delta batches (appends and newest-wins upserts) —
-and a join chain over them.  For every engine, running the job with
-``batch_size`` in {8, 64, 1024} must produce exactly the rows, delta
-accounting, and freshness watermark of the ``batch_size=1`` reference
-path; batching may only ever *reduce* charged random reads (page-walk
-deduplication and amortized fetches).  A second property re-checks row
-agreement under injected transient-IO faults with ``on_error='retry'``
-(fault draws differ per batch size, so IO accounting is exempt there —
-the answer is not).  A third kills a node at a generated simulated time
-mid-job: batched and per-record execution must re-route to survivors,
-return exactly the fault-free reference rows, and reconcile their
-observed crash counters with the injector's ground truth.
+and a join chain over them.  For both cluster engines, running the job
+with ``batch_size`` in {8, 64, 1024} must produce exactly the rows,
+delta accounting, and freshness watermark of the ``batch_size=1`` path;
+batching may only ever *reduce* charged random reads (page-walk
+deduplication and amortized fetches).  (The reference executor ignores
+``batch_size``: it charges no time, so there is nothing to batch.)  A
+second property re-checks row agreement under injected transient-IO
+faults with ``on_error='retry'``, on static and fresh lakes alike —
+delta-run reads retry like base reads (fault draws differ per batch
+size, so IO accounting is exempt there — the answer is not).  A third
+kills a node at a generated simulated time mid-job: batched and
+per-record execution must re-route to survivors, return exactly the
+fault-free reference rows, and reconcile their observed crash counters
+with the injector's ground truth.
 """
 
 from hypothesis import given, settings
@@ -126,7 +129,7 @@ def run_on_cluster(catalog, job, mode, batch_size, fault_plan=None):
 def test_batch_size_is_semantics_free(ds):
     catalog = build_lake(ds)
     job = build_job(ds)
-    for mode in ("reference", "smpe", "partitioned"):
+    for mode in ("smpe", "partitioned"):
         base = run(catalog, job, mode, 1)
         for batch_size in BATCH_SIZES:
             result = run(catalog, job, mode, batch_size)
@@ -143,10 +146,6 @@ def test_batch_size_is_semantics_free(ds):
 @settings(max_examples=10, deadline=None)
 @given(scenarios, st.integers(min_value=0, max_value=2 ** 16))
 def test_batch_size_is_semantics_free_under_faults(ds, seed):
-    # Static tables only: delta-merge IO is charged outside the retry
-    # loop (at every batch size, including 1), so transient faults on a
-    # fresh table can escape on_error="retry" regardless of batching.
-    ds = dict(ds, fresh_appends=0, fresh_upserts=0)
     catalog = build_lake(ds)
     job = build_job(ds)
     plan = FaultPlan(seed=seed, transient_io_rate=0.1,

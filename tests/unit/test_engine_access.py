@@ -1,8 +1,12 @@
 """Unit tests for the shared access layer, metrics, and executor facade."""
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
+from repro.cluster.disk import DiskSpec
+from repro.config import EngineConfig
 from repro.core import (
     FileLookupDereferencer,
     IndexRangeDereferencer,
@@ -17,6 +21,7 @@ from repro.core.job import OutputRow
 from repro.engine.access import (
     count_only_dereference,
     initial_probe_pids,
+    recovering_dereference,
     resolve_partitions,
     simulated_dereference,
 )
@@ -170,6 +175,51 @@ def _config():
     from repro.config import DEFAULT_ENGINE_CONFIG
 
     return DEFAULT_ENGINE_CONFIG
+
+
+class TestFunnelKernelChoice:
+    """``batch_size`` picks the charging kernel, never the probe count.
+
+    One uncached range probe over a 10-leaf B-tree run, on a 4-spindle
+    disk: the per-record kernel serializes the probe's dependent page
+    reads, while the batch kernel stripes a batch — even a batch of one —
+    across the spindles."""
+
+    SPINDLES = 4
+
+    def probe(self, batch_size):
+        index = BtreeFile("idx", HashPartitioner(1), num_nodes=1, order=4)
+        for i in range(30):
+            index.insert(i, IndexEntry(i, i, i))
+        cluster = Cluster(ClusterSpec(num_nodes=1, node=NodeSpec(
+            disk=DiskSpec(spindles=self.SPINDLES))))
+        metrics = ExecutionMetrics()
+        holder = {}
+
+        def proc():
+            holder["outputs"] = yield from recovering_dereference(
+                cluster, EngineConfig(batch_size=batch_size), metrics, 0,
+                IndexRangeDereferencer("idx"), index,
+                [(PointerRange("idx", 0, 29), {})], 0, 0)
+
+        __, elapsed = cluster.run_job(proc())
+        assert [len(records) for records in holder["outputs"]] == [30]
+        reads = index.probe_io_count(30)
+        assert reads == 10 and metrics.random_reads == reads
+        node = cluster.spec.node
+        cpu = 30 * node.tuple_cpu_time
+        return elapsed - cpu, reads, node.disk.random_service_time, metrics
+
+    def test_one_probe_batch_stripes_its_reads(self):
+        disk_time, reads, service, metrics = self.probe(batch_size=8)
+        assert disk_time == pytest.approx(
+            math.ceil(reads / self.SPINDLES) * service)
+        assert metrics.batches == 1
+
+    def test_per_record_serializes_the_same_reads(self):
+        disk_time, reads, service, metrics = self.probe(batch_size=1)
+        assert disk_time == pytest.approx(reads * service)
+        assert metrics.batches == 0
 
 
 class TestExecutorFacade:

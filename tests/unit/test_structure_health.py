@@ -42,6 +42,7 @@ from repro.engine.access import classify_failure
 from repro.errors import (AccessMethodError, JobDefinitionError,
                           StorageError, StructureCorruptionError,
                           UnknownStructure)
+from repro.ingest import IngestCoordinator, MicroBatch
 from repro.plan import ACCESS_INDEX, ACCESS_SCAN, StagePlanner
 from repro.plan.feedback import RuntimeFeedback
 from repro.queries import TpchWorkload
@@ -100,6 +101,30 @@ def join_job():
             .dereference(FileLookupDereferencer("lineitem"))
             .input(PointerRange("idx_part_retailprice", 905, 918))
             .build())
+
+
+def fresh_join_catalog():
+    """The join lake plus committed delta runs: new parts in the probed
+    price range with lineitems of their own, and newest-wins lineitem
+    upserts that move entries between parts (index tombstones)."""
+    catalog = join_catalog()
+    catalog.build_all()
+    coord = IngestCoordinator(catalog)
+    coord.flush(coord.stage(MicroBatch(
+        "part", appends=[Record({"p_partkey": 100 + i,
+                                 "p_retailprice": 906 + i})
+                         for i in range(4)], event_time=1.0)))
+    coord.flush(coord.stage(MicroBatch(
+        "lineitem", appends=[Record({"l_orderkey": 1000 + i,
+                                     "l_partkey": 100 + i % 4,
+                                     "l_quantity": 9})
+                             for i in range(8)], event_time=2.0)))
+    coord.flush(coord.stage(MicroBatch(
+        "lineitem", upserts=[Record({"l_orderkey": i * 10,
+                                     "l_partkey": (i + 3) % 24,
+                                     "l_quantity": 7})
+                             for i in range(5, 15)], event_time=3.0)))
+    return catalog
 
 
 JOIN_FIELDS = ("l_orderkey", "l_partkey", "l_quantity")
@@ -387,8 +412,9 @@ class TestEngineQuarantineFallback:
     @pytest.mark.parametrize("batch_size", (1, 8))
     def test_feedback_sees_each_record_once_under_corruption(
             self, mode, batch_size):
-        """The degraded batch path re-enters the per-record funnel; the
-        batch, not the funnel, reports those records to the feedback."""
+        """A degraded batch charges probe by probe in nested funnel
+        passes; the batch's call, not the passes, reports its records to
+        the feedback."""
         def observed(plan):
             feedback = RuntimeFeedback()
             cluster = Cluster(ClusterSpec(num_nodes=4), fault_plan=plan)
@@ -399,6 +425,38 @@ class TestEngineQuarantineFallback:
             return feedback.observed
 
         assert observed(CORRUPTION_PLAN) == observed(None)
+
+    @pytest.mark.parametrize("batch_size", (1, 8))
+    def test_fresh_lake_quarantines_once_at_any_batch_size(
+            self, mode, batch_size):
+        """Corruption x committed delta runs x batching: the recovery
+        table and the delta merge compose, whatever the batch size."""
+        def run(plan, batch_size):
+            feedback = RuntimeFeedback()
+            catalog = fresh_join_catalog()
+            cluster = Cluster(ClusterSpec(num_nodes=4), fault_plan=plan)
+            config = EngineConfig(batch_size=batch_size, feedback=feedback)
+            result = ReDeExecutor(cluster, catalog, config=config,
+                                  mode=mode).execute(join_job())
+            assert result.complete
+            return result, feedback.observed, catalog
+
+        oracle = ReDeExecutor(None, fresh_join_catalog(),
+                              mode="reference").execute(join_job())
+        result, observed, catalog = run(CORRUPTION_PLAN, batch_size)
+        assert (result.row_set(INTERP, JOIN_FIELDS)
+                == oracle.row_set(INTERP, JOIN_FIELDS))
+        assert result.metrics.delta_probes > 0
+        quarantined = [name for name in catalog.access_methods()
+                       if catalog.state(name)
+                       is StructureState.QUARANTINED]
+        assert quarantined
+        assert result.metrics.quarantines == len(quarantined)
+        assert len(result.failure_report.quarantined) == len(quarantined)
+        __, clean_observed, __ = run(None, batch_size)
+        assert observed == clean_observed
+        per_record, __, __ = run(CORRUPTION_PLAN, 1)
+        assert result.metrics.delta_probes == per_record.metrics.delta_probes
 
     def test_pre_quarantined_structure_is_served_by_scan(self, mode):
         catalog = join_catalog()
