@@ -63,7 +63,7 @@ from repro.core import (
     WorkloadStats,
 )
 from repro.datagen import ClaimInterpreter, ClaimsGenerator, FhirGenerator, TpchGenerator
-from repro.engine import ExecutionMetrics, HybridExecutor, JobResult, ReDeExecutor
+from repro.engine import ExecutionMetrics, JobResult, PlanningExecutor, ReDeExecutor
 from repro.errors import ReproError
 from repro.queries import CASE_STUDY_QUERIES, ClaimsLake, TpchWorkload
 from repro.storage import (
@@ -118,8 +118,8 @@ __all__ = [
     "FhirGenerator",
     "TpchGenerator",
     "ExecutionMetrics",
-    "HybridExecutor",
     "JobResult",
+    "PlanningExecutor",
     "ReDeExecutor",
     "ReproError",
     "CASE_STUDY_QUERIES",

@@ -12,7 +12,7 @@ select-join-chain builder.  It records the chain as a
 :class:`~repro.plan.logical.LogicalPlan` — the IR the per-stage planner
 (:mod:`repro.plan.planner`) inspects — and *compiles to* a plain
 :class:`~repro.core.job.Job` via the plan layer's default all-index
-lowering, so every engine (and the hybrid optimizer) runs it unchanged:
+lowering, so every engine (and the planner) runs it unchanged:
 no flexibility or efficiency is given up, the chain is just sugar over
 choosing pre-defined Referencers/Dereferencers.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import datetime
 import random
-from typing import Sequence
 
 __all__ = ["make_rng", "random_phrase", "date_range_days", "add_days",
            "zipf_sampler", "WORDS"]

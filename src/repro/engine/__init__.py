@@ -3,8 +3,6 @@ in-memory reference oracle, plus execution metrics."""
 
 from repro.engine.aggregate import aggregate, distinct_sum, group_by
 from repro.engine.executor import ReDeExecutor
-from repro.engine.hybrid import CostModel, HybridExecutor, HybridResult, \
-    PlanChoice
 from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
                                   FailureReport, JobResult)
 from repro.engine.partitioned import PartitionedEngine
@@ -17,10 +15,6 @@ __all__ = [
     "distinct_sum",
     "group_by",
     "ReDeExecutor",
-    "CostModel",
-    "HybridExecutor",
-    "HybridResult",
-    "PlanChoice",
     "ExecutionMetrics",
     "FailureRecord",
     "FailureReport",

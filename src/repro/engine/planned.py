@@ -1,8 +1,7 @@
 """The per-stage planning executor: run whatever the StagePlanner picked.
 
-Where :class:`repro.engine.hybrid.HybridExecutor` chooses between two
-whole-query plans, :class:`PlanningExecutor` accepts a
-:class:`~repro.plan.logical.LogicalPlan`, asks the
+:class:`PlanningExecutor` is the repository's one optimizer front end.
+It accepts a :class:`~repro.plan.logical.LogicalPlan`, asks the
 :class:`~repro.plan.planner.StagePlanner` to price every stage, and runs
 the winner:
 
@@ -14,9 +13,9 @@ the winner:
 
 ``force`` bypasses the decision (benchmarks measure all sides with it).
 
-Planning is memoized on ``(logical signature, lake state)``: repeated
-plans (and calibrations) of the same chain against an unchanged lake
-reuse the previous answer instead of re-scanning the catalog for
+Planning is memoized on ``(logical signature, catalog version)``:
+repeated plans (and calibrations) of the same chain against an unchanged
+lake reuse the previous answer instead of re-scanning the catalog for
 statistics — any data-plane mutation (ingest commit, compaction, build,
 rebalance) bumps the catalog version and drops the memo.
 
@@ -37,7 +36,6 @@ from repro.baselines.scan_engine import ScanEngine
 from repro.cluster.cluster import Cluster, ClusterSpec
 from repro.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.core.catalog import StructureCatalog
-from repro.core.job import Job
 from repro.errors import ExecutionError, JobDefinitionError
 from repro.plan.feedback import AdaptiveController, logical_signature
 from repro.plan.logical import LogicalPlan
@@ -69,49 +67,38 @@ class PlanningExecutor:
     def __init__(self, catalog: StructureCatalog, store: BlockStore,
                  cluster_spec: ClusterSpec,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
-                 per_match_access_factor: Optional[float] = None,
-                 statistics: str = "exact",
-                 margin: float = 0.9,
-                 mode: str = "smpe",
                  adaptive_threshold: Optional[float] = None) -> None:
         self.catalog = catalog
         self.store = store
         self.cluster_spec = cluster_spec
         self.config = config
-        self.per_match_access_factor = per_match_access_factor
-        self.mode = mode
         self.adaptive_threshold = adaptive_threshold
         self.planner = StagePlanner(catalog, store, cluster_spec,
-                                    config=config, statistics=statistics,
-                                    margin=margin)
+                                    config=config)
+        #: estimated record accesses per initial index match across the
+        #: whole chain; None prices one access per dereference stage
+        #: until :meth:`calibrate` measures it
+        self.per_match_access_factor: Optional[float] = None
         #: oracle runs actually executed by :meth:`calibrate` (memo
-        #: hits don't re-run — the satellite-3 regression contract)
+        #: hits don't re-run)
         self.calibration_runs = 0
         self._plan_memo: dict[tuple, PlannedQuery] = {}
         self._calibration_memo: dict[tuple, float] = {}
 
-    def _lake_token(self) -> tuple:
-        """Fingerprint of the lake state the memoized plans are valid
-        for.  The catalog version covers every data-plane mutation
-        (registration, builds, ingest commits, compaction, demotion);
-        the topology epoch covers placement changes."""
-        topology = self.planner.topology
-        epoch = None if topology is None else topology.epoch
-        return (self.catalog.version, epoch)
-
     def calibrate(self, logical: LogicalPlan) -> float:
         """Set the whole-job access factor from one observed reference run.
 
-        Same feedback loop as :meth:`HybridExecutor.calibrate
-        <repro.engine.hybrid.HybridExecutor.calibrate>`: run the all-index
-        job on the simulation-free oracle, measure actual record accesses
-        per initial match, and install that factor for the whole-job index
-        estimate (per-stage estimates keep their own statistics).
+        The classic optimizer feedback loop, cheap here because the
+        oracle charges no virtual time: run the all-index job on the
+        simulation-free reference executor, measure actual record
+        accesses per initial match, and install that factor for the
+        whole-job index estimate (per-stage estimates keep their own
+        statistics).
 
         Calibrating the same chain against an unchanged lake reuses the
         previous factor without re-running the oracle.
         """
-        key = (logical_signature(logical), self._lake_token())
+        key = (logical_signature(logical), self.catalog.version)
         cached = self._calibration_memo.get(key)
         if cached is not None:
             self.per_match_access_factor = cached
@@ -122,9 +109,8 @@ class PlanningExecutor:
         job = compile_logical(logical, self.catalog).to_job(self.catalog)
         result = ReferenceExecutor(self.catalog).execute(job)
         self.calibration_runs += 1
-        cardinality = max(1.0, float(initial_cardinality(
-            self.catalog, job.inputs, self.planner.statistics,
-            self.planner._histograms, self.planner.histogram_buckets)))
+        cardinality = max(1.0, float(initial_cardinality(self.catalog,
+                                                         job.inputs)))
         self.per_match_access_factor = (result.metrics.record_accesses
                                         / cardinality)
         self._calibration_memo[key] = self.per_match_access_factor
@@ -133,11 +119,12 @@ class PlanningExecutor:
     def plan(self, logical: LogicalPlan) -> PlannedQuery:
         """Price every stage and decide mixed vs index vs scan.
 
-        Memoized: the same logical signature against the same lake token
-        (and access factor) returns the previously planned query."""
-        token = self._lake_token()
-        self.planner.note_lake_state(token)
-        key = (logical_signature(logical), token,
+        Memoized: the same logical signature against the same catalog
+        version (and access factor) returns the previously planned
+        query."""
+        version = self.catalog.version
+        self.planner.note_lake_state(version)
+        key = (logical_signature(logical), version,
                self.per_match_access_factor)
         planned = self._plan_memo.get(key)
         if planned is None:
@@ -146,27 +133,6 @@ class PlanningExecutor:
                 per_match_access_factor=self.per_match_access_factor)
             self._plan_memo[key] = planned
         return planned
-
-    def serving_jobs(self, logical: LogicalPlan) -> tuple[Job, Optional[Job]]:
-        """Plan ``logical`` for gateway submission: ``(primary, fallback)``.
-
-        ``primary`` is the planner's cluster-executable pick lowered to a
-        Job — the all-index plan when the choice was ``"index"``, else the
-        mixed plan (a ``"scan"`` choice also lowers to mixed: the gateway
-        needs a cluster job, and mixed is the cheapest one).  ``fallback``
-        is the scan-free all-index job the gateway degrades to under
-        overload — scan-backed stages are what saturate the disks, so the
-        index-only variant is the load-shedding-friendly shape.  It is
-        None when the primary is already scan-free (nothing cheaper to
-        degrade to).
-        """
-        planned = self.plan(logical)
-        physical = (planned.all_index if planned.chosen == "index"
-                    else planned.mixed)
-        primary = physical.to_job(self.catalog)
-        if physical.is_pure_index:
-            return primary, None
-        return primary, planned.all_index.to_job(self.catalog)
 
     def execute(self, logical: LogicalPlan,
                 force: Optional[str] = None) -> PlannedResult:
@@ -198,7 +164,7 @@ class PlanningExecutor:
         from repro.engine.executor import ReDeExecutor
 
         executor = ReDeExecutor(Cluster(self.cluster_spec), self.catalog,
-                                config=config, mode=self.mode)
+                                config=config, mode="smpe")
         result = executor.execute(job)
         return PlannedResult(planned, executed, result.rows,
                              result.metrics.elapsed_seconds,

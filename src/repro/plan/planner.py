@@ -1,8 +1,7 @@
 """The per-stage planner: cost each chain hop, pick its access path.
 
-This generalizes the whole-query binary choice of
-:mod:`repro.engine.hybrid` (whose :class:`CostModel` now delegates to the
-primitives here).  For every logical node the planner consults structure
+This is the repository's one optimizer — the one Section III-E says ReDe
+lacks.  For every logical node the planner consults structure
 statistics — B-tree cardinalities for the initial probe, row/byte counts
 and distinct-key counts from the catalog — and prices two options:
 
@@ -60,73 +59,59 @@ __all__ = [
 
 Target = Union[Pointer, PointerRange]
 
+#: the mixed plan runs only when its per-stage estimate undercuts the best
+#: degenerate (whole-query) estimate by at least ``1 - MARGIN``
+MARGIN = 0.9
+
 
 # --------------------------------------------------------------------------
-# Whole-job cost primitives (lifted from engine.hybrid.CostModel, which now
-# delegates here).  At cache_bytes == 0 these are arithmetic-identical to
-# the pre-plan formulas.
+# Whole-job cost primitives: the degenerate all-index and all-scan plans.
 # --------------------------------------------------------------------------
 
 
 def initial_cardinality(catalog: "StructureCatalog",
-                        inputs: Sequence[Target],
-                        statistics: str = "exact",
-                        histograms: Optional[dict[str, Any]] = None,
-                        histogram_buckets: int = 32) -> float:
-    """Cardinality of a job's initial probes.
+                        inputs: Sequence[Target]) -> int:
+    """Exact cardinality of a job's initial probes.
 
-    First-class structures make statistics trivial: in ``"exact"`` mode
-    the B-tree *is* the statistic; in ``"histogram"`` mode a compact
-    equi-depth summary answers instead (cached in ``histograms``).
+    First-class structures make statistics trivial: the B-tree *is* the
+    statistic.  Each input is counted on exactly the partitions the
+    engines probe for it, once each: one replica of a replicated index,
+    every partition of a local index or for a broadcast target, and the
+    owning partition for a keyed probe of a global index.
 
     Under streaming ingest the built tree alone is freshness-blind:
     unmerged delta runs hold committed entries the tree has not absorbed
-    (and tombstones that kill entries it still holds), so both modes
-    fold the registry's per-partition delta matches into the count —
-    appends add, tombstoned/superseded entries subtract.  With no runs
-    registered the fold is skipped entirely and the estimate is
-    bit-identical to a static lake's.
+    (and tombstones that kill entries it still holds), so the count
+    folds in the registry's per-partition delta matches — appends add,
+    tombstoned/superseded entries subtract.  With no runs registered the
+    fold is skipped entirely.
     """
-    if statistics not in ("exact", "histogram"):
-        raise ExecutionError(
-            f"statistics must be exact|histogram, got {statistics!r}")
-    total = 0.0
+    total = 0
     for target in inputs:
         file = catalog.resolve(target.file)
         if not isinstance(file, BtreeFile):
             total += 1
             continue
         runs = catalog.delta_runs(target.file)
-        if statistics == "histogram":
-            histogram = _histogram_for(catalog, target.file, histograms,
-                                       histogram_buckets)
-            if isinstance(target, PointerRange):
-                total += histogram.estimate_range(target.low, target.high)
-            else:
-                total += histogram.estimate_equal(target.key)
-            if runs:
-                for pid in range(file.num_partitions):
-                    total += _delta_adjustment(
-                        runs, target, pid, file.range_lookup(target, pid)
-                        if isinstance(target, PointerRange)
-                        else file.lookup_in_partition(pid, target))
-            continue
-        if isinstance(target, PointerRange):
-            for pid in range(file.num_partitions):
-                matches = file.range_lookup(target, pid)
-                total += len(matches)
-                if runs:
-                    total += _delta_adjustment(runs, target, pid, matches)
-        elif isinstance(target, Pointer):
-            pid = file.partition_of_key(
-                target.partition_key if target.partition_key is not None
-                else target.key)
-            matches = file.lookup_in_partition(pid, target)
+        for pid in _probed_partitions(file, target):
+            matches = (file.range_lookup(target, pid)
+                       if isinstance(target, PointerRange)
+                       else file.lookup_in_partition(pid, target))
             total += len(matches)
             if runs:
                 total += _delta_adjustment(runs, target, pid, matches)
-    # Exact mode counts whole records; histogram mode interpolates.
-    return int(max(0.0, total)) if statistics == "exact" else max(0.0, total)
+    return max(0, total)
+
+
+def _probed_partitions(file: BtreeFile, target: Target) -> Sequence[int]:
+    """The index partitions the engines probe for one initial input —
+    the routing of ``engine.access.resolve_partitions``, restated here
+    because the plan layer does not import the engines."""
+    if file.scope == "replicated":
+        return (0,)  # every replica holds everything
+    if file.scope == "local" or target.partition_key is None:
+        return range(file.num_partitions)
+    return (file.partition_of_key(target.partition_key),)
 
 
 def _delta_adjustment(runs: list, target: Target, pid: int,
@@ -161,19 +146,6 @@ def _delta_adjustment(runs: list, target: Target, pid: int,
     return len(additions) - killed
 
 
-def _histogram_for(catalog: "StructureCatalog", name: str,
-                   histograms: Optional[dict[str, Any]],
-                   histogram_buckets: int):
-    from repro.storage.stats import build_index_histogram
-
-    if histograms is None:
-        histograms = {}
-    if name not in histograms:
-        histograms[name] = build_index_histogram(
-            catalog.resolve(name), num_buckets=histogram_buckets)
-    return histograms[name]
-
-
 def expected_cache_hit_rate(spec: ClusterSpec,
                             working_bytes: float) -> float:
     """Steady-state hit rate of the cluster's pools over a working set."""
@@ -192,9 +164,6 @@ def working_set_bytes(catalog: "StructureCatalog", job: "Job") -> int:
 def estimate_indexed_job_seconds(
         spec: ClusterSpec, catalog: "StructureCatalog", job: "Job",
         per_match_access_factor: Optional[float] = None,
-        statistics: str = "exact",
-        histograms: Optional[dict[str, Any]] = None,
-        histogram_buckets: int = 32,
         cache_hit_time: float = DEFAULT_ENGINE_CONFIG.cache_hit_time
 ) -> float:
     """floor (chain latency) + throughput term (accesses over IOPS).
@@ -203,8 +172,7 @@ def estimate_indexed_job_seconds(
     throughput term discounts repeated probes by the expected hit rate:
     hits pay RAM service time instead of a cold random read.
     """
-    cardinality = initial_cardinality(catalog, job.inputs, statistics,
-                                      histograms, histogram_buckets)
+    cardinality = initial_cardinality(catalog, job.inputs)
     num_derefs = sum(1 for f in job.functions
                      if isinstance(f, Dereferencer))
     factor = (per_match_access_factor
@@ -284,7 +252,7 @@ class PlannedQuery:
     stage_estimates: list[StageEstimate]
     #: per-stage sum for the mixed plan
     mixed_estimate: float
-    #: whole-job estimates, same formulas the old hybrid used
+    #: whole-job estimates of the two degenerate plans
     index_estimate: float
     scan_estimate: Optional[float]
     chosen: str  # "mixed" | "index" | "scan"
@@ -324,51 +292,37 @@ class PlannedQuery:
 class StagePlanner:
     """Cost every stage of a logical plan and emit the mixed plan.
 
-    The margin keeps the planner honest: the mixed plan is chosen only
-    when its per-stage estimate undercuts the *best degenerate* estimate
-    by at least ``1 - margin`` — otherwise the planner falls back to
-    exactly the whole-query choice the old hybrid made, so its envelope
-    can never regress below ``min(ReDe, scan)``.
+    :data:`MARGIN` keeps the planner honest: the mixed plan is chosen
+    only when its per-stage estimate undercuts the *best degenerate*
+    estimate by at least ``1 - MARGIN`` — otherwise the planner falls
+    back to the whole-query choice between the all-index and all-scan
+    plans, so its envelope can never regress below ``min(ReDe, scan)``.
     """
 
     def __init__(self, catalog: "StructureCatalog", store: "BlockStore",
                  cluster_spec: ClusterSpec,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG,
-                 statistics: str = "exact",
-                 histogram_buckets: int = 32,
-                 margin: float = 0.9,
-                 topology: Optional[Any] = None) -> None:
+                 config: EngineConfig = DEFAULT_ENGINE_CONFIG) -> None:
         self.catalog = catalog
         self.store = store
         self.spec = cluster_spec
         self.config = config
-        self.statistics = statistics
-        self.histogram_buckets = histogram_buckets
-        self.margin = margin
-        #: optional TopologyController for placement-aware pricing: while
-        #: a rebalance is migrating partitions, random-IO capacity is
-        #: priced at the controller's effective node count (one node's
-        #: worth of spindles is busy copying).  None = static pricing.
-        self.topology = topology
-        self._histograms: dict[str, Any] = {}
         self._distinct_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[tuple, float] = {}
-        self._stats_token: Optional[tuple] = None
+        self._stats_version: Optional[int] = None
 
-    def note_lake_state(self, token: tuple) -> None:
+    def note_lake_state(self, version: int) -> None:
         """Invalidate cached statistics when the lake changed.
 
-        ``token`` is any hashable fingerprint of the lake's data-plane
-        state (catalog version, delta runs, placement epoch).  While the
-        token is unchanged the expensive full-scan statistics —
-        histograms, distinct counts, filter selectivities — are reused
-        across plans; a new token drops them all.
+        ``version`` is the catalog version, which every data-plane
+        mutation (registration, builds, ingest commits, compaction,
+        demotion) bumps.  While it is unchanged the expensive full-scan
+        statistics — distinct counts, filter selectivities — are reused
+        across plans; a new version drops them all.
         """
-        if token != self._stats_token:
-            self._histograms.clear()
+        if version != self._stats_version:
             self._distinct_cache.clear()
             self._selectivity_cache.clear()
-            self._stats_token = token
+            self._stats_version = version
 
     # -- statistics ------------------------------------------------------
 
@@ -463,20 +417,7 @@ class StagePlanner:
 
     @property
     def _total_iops(self) -> float:
-        return self.spec.node.disk.random_iops * self._pricing_nodes
-
-    @property
-    def _pricing_nodes(self) -> int:
-        """Node count random-IO capacity is priced at.
-
-        With a topology controller attached this tracks live membership
-        and discounts one node's worth of capacity while a rebalance is
-        in flight; without one it is the static spec — so estimates on
-        static clusters are bit-identical to pre-topology builds.
-        """
-        if self.topology is None:
-            return self.spec.num_nodes
-        return self.topology.effective_nodes()
+        return self.spec.node.disk.random_iops * self.spec.num_nodes
 
     def _cache_discount(self, structure_bytes: float,
                         ios: float) -> tuple[float, float]:
@@ -692,12 +633,9 @@ class StagePlanner:
             raise JobDefinitionError("cannot plan an empty chain")
         all_index = compile_logical(logical, self.catalog)
         index_job = all_index.to_job(self.catalog)
-        cardinality = initial_cardinality(
-            self.catalog, index_job.inputs, self.statistics,
-            self._histograms, self.histogram_buckets)
+        cardinality = initial_cardinality(self.catalog, index_job.inputs)
         index_estimate = estimate_indexed_job_seconds(
             self.spec, self.catalog, index_job, per_match_access_factor,
-            self.statistics, self._histograms, self.histogram_buckets,
             cache_hit_time=self.config.cache_hit_time)
         scan_plan: Optional[PlanNode] = None
         scan_estimate: Optional[float] = None
@@ -746,7 +684,7 @@ class StagePlanner:
                              or index_estimate <= scan_estimate
                              else "scan")
         if (not mixed.is_pure_index
-                and mixed_estimate < self.margin * best_degenerate):
+                and mixed_estimate < MARGIN * best_degenerate):
             chosen = "mixed"
         else:
             chosen = degenerate_choice

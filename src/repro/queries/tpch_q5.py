@@ -30,7 +30,7 @@ Both produce identical row sets (asserted in the integration tests) via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.catalog import AccessMethodDefinition, StructureCatalog
 from repro.core.functions import (
@@ -42,7 +42,6 @@ from repro.core.functions import (
 from repro.core.interpreters import (
     ContextMatchFilter,
     FieldEqualsFilter,
-    FieldRangeFilter,
     MappingInterpreter,
 )
 from repro.core.job import Job, JobBuilder

@@ -19,7 +19,6 @@ from repro.storage.files import (
     round_robin_placement,
 )
 from repro.storage.heapfile import HeapFile
-from repro.storage.stats import EquiDepthHistogram, build_index_histogram
 from repro.storage.partitioner import (
     HashPartitioner,
     Partitioner,
@@ -42,8 +41,6 @@ __all__ = [
     "PartitionedFile",
     "round_robin_placement",
     "HeapFile",
-    "EquiDepthHistogram",
-    "build_index_histogram",
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",

@@ -1,27 +1,30 @@
-"""Unit tests for the hybrid cost model and executor."""
+"""Unit tests for the whole-query index-vs-scan decision.
+
+The planner prices the two degenerate plans of a query (every stage
+indexed, or one scan-engine plan) beside its per-stage mixed plan; these
+tests pin that hybrid choice and its whole-job cost primitives on a small
+1 000-row lake where ``v = pk % 100``.
+"""
 
 import pytest
 
 from repro.baselines import HashJoinNode, ScanNode
-from repro.cluster import ClusterSpec
-from repro.core import (
-    AccessMethodDefinition,
-    FileLookupDereferencer,
-    IndexEntryReferencer,
-    IndexRangeDereferencer,
-    JobBuilder,
-    MappingInterpreter,
-    PointerRange,
-    Record,
-    StructureCatalog,
-)
-from repro.core.pointers import Pointer
-from repro.engine.hybrid import CostModel, HybridExecutor
+from repro.cluster import ClusterSpec, DiskSpec, NodeSpec
+from repro.core import (AccessMethodDefinition, ChainQuery,
+                        FileLookupDereferencer, IndexEntryReferencer,
+                        IndexRangeDereferencer, JobBuilder,
+                        MappingInterpreter, Pointer, PointerRange, Record,
+                        StructureCatalog)
+from repro.engine import PlanningExecutor
 from repro.errors import ExecutionError
+from repro.plan.planner import (estimate_indexed_job_seconds,
+                                estimate_scan_plan_seconds,
+                                initial_cardinality)
 from repro.storage import BlockStore, DistributedFileSystem
 
 INTERP = MappingInterpreter()
 NUM_NODES = 2
+SPEC = ClusterSpec(num_nodes=NUM_NODES)
 
 
 @pytest.fixture(scope="module")
@@ -47,136 +50,120 @@ def make_job(low, high):
             .build())
 
 
+def range_probe(low, high):
+    return (ChainQuery("probe", interpreter=INTERP)
+            .from_index_range("idx_v", low, high, base="t")
+            .logical_plan())
+
+
 SCAN_PLAN = ScanNode("t")
 
 
 class TestCostModel:
     def test_initial_cardinality_exact(self, setup):
         catalog, __ = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
         job = make_job(0, 9)  # 10 of 100 values -> 100 records
-        assert model.initial_cardinality(catalog, job) == 100
+        assert initial_cardinality(catalog, job.inputs) == 100
 
     def test_initial_cardinality_equality_pointer(self, setup):
         catalog, __ = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
-        job = (JobBuilder("eq")
-               .dereference(FileLookupDereferencer("t"))
-               .input(Pointer("t", 5, 5))
-               .build())
         # Base-file pointers count as one probe.
-        assert model.initial_cardinality(catalog, job) == 1
+        assert initial_cardinality(catalog, [Pointer("t", 5, 5)]) == 1
 
     def test_rede_estimate_grows_with_selectivity(self, setup):
         catalog, __ = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
-        narrow = model.estimate_rede_seconds(catalog, make_job(0, 0))
-        wide = model.estimate_rede_seconds(catalog, make_job(0, 99))
+        narrow = estimate_indexed_job_seconds(SPEC, catalog, make_job(0, 0))
+        wide = estimate_indexed_job_seconds(SPEC, catalog, make_job(0, 99))
         assert wide > narrow
 
     def test_scan_estimate_independent_of_job(self, setup):
         __, store = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
-        assert (model.estimate_scan_seconds(store, SCAN_PLAN)
-                == model.estimate_scan_seconds(store, SCAN_PLAN))
+        assert (estimate_scan_plan_seconds(SPEC, store, SCAN_PLAN)
+                == estimate_scan_plan_seconds(SPEC, store, SCAN_PLAN))
 
     def test_scan_estimate_counts_joins(self, setup):
         __, store = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
         join_plan = HashJoinNode(build=ScanNode("t"), probe=ScanNode("t"),
                                  build_key=lambda r: r["pk"],
                                  probe_key=lambda r: r["pk"])
-        assert (model.estimate_scan_seconds(store, join_plan)
-                > model.estimate_scan_seconds(store, SCAN_PLAN))
+        assert (estimate_scan_plan_seconds(SPEC, store, join_plan)
+                > estimate_scan_plan_seconds(SPEC, store, SCAN_PLAN))
 
     def test_calibrated_access_factor(self, setup):
         catalog, __ = setup
-        base = CostModel(ClusterSpec(num_nodes=NUM_NODES))
-        calibrated = CostModel(ClusterSpec(num_nodes=NUM_NODES),
-                               per_match_access_factor=10.0)
         job = make_job(0, 50)
-        assert (calibrated.estimate_rede_seconds(catalog, job)
-                > base.estimate_rede_seconds(catalog, job))
+        assert (estimate_indexed_job_seconds(SPEC, catalog, job, 10.0)
+                > estimate_indexed_job_seconds(SPEC, catalog, job))
 
     def test_unknown_plan_node(self, setup):
         __, store = setup
-        model = CostModel(ClusterSpec(num_nodes=NUM_NODES))
         with pytest.raises(ExecutionError):
-            model.estimate_scan_seconds(store, "bogus")
+            estimate_scan_plan_seconds(SPEC, store, "bogus")
 
 
 class TestHybridExecutor:
-    def make(self, setup):
+    def make(self, setup, spec=SPEC):
         catalog, store = setup
-        return HybridExecutor(catalog, store,
-                              ClusterSpec(num_nodes=NUM_NODES))
+        return PlanningExecutor(catalog, store, spec)
 
     def test_plan_returns_both_estimates(self, setup):
-        hybrid = self.make(setup)
-        choice = hybrid.plan(make_job(0, 4), SCAN_PLAN)
-        assert choice.chosen in ("rede", "scan")
-        assert choice.rede_estimate > 0
-        assert choice.scan_estimate > 0
-        assert choice.initial_cardinality == 50
+        planned = self.make(setup).plan(range_probe(0, 4))
+        assert planned.chosen in ("mixed", "index", "scan")
+        assert planned.index_estimate > 0
+        assert planned.scan_estimate > 0
+        assert planned.initial_cardinality == 50
 
     def test_execute_rede_side(self, setup):
-        hybrid = self.make(setup)
-        result = hybrid.execute(make_job(3, 3), SCAN_PLAN, force="rede")
+        result = self.make(setup).execute(range_probe(3, 3), force="index")
+        assert result.executed == "index"
         assert len(result.rows) == 10  # v == 3 occurs 10 times
         assert result.record_accesses > 0
         assert result.elapsed_seconds > 0
 
     def test_execute_scan_side(self, setup):
-        hybrid = self.make(setup)
-        result = hybrid.execute(make_job(3, 3), SCAN_PLAN, force="scan")
-        assert len(result.rows) == 1000  # unfiltered scan of t
+        result = self.make(setup).execute(range_probe(3, 3), force="scan")
+        assert result.executed == "scan"
+        assert len(result.rows) == 10  # the lowered scan plan filters v
         assert result.record_accesses == 0
+        assert result.elapsed_seconds > 0
 
     def test_choice_flips_with_hardware_balance(self, setup):
-        """On scan-hostile hardware a tiny probe picks ReDe; on the paper's
-        full-bandwidth disks this tiny dataset scans for free."""
-        from repro.cluster import DiskSpec, NodeSpec
-
-        catalog, store = setup
+        """On scan-hostile hardware a tiny probe stays indexed; on the
+        paper's full-bandwidth disks this tiny dataset scans for free."""
         slow_scan = ClusterSpec(
             num_nodes=NUM_NODES,
             node=NodeSpec(disk=DiskSpec(seq_bandwidth=5e4)))
-        hybrid = HybridExecutor(catalog, store, slow_scan)
-        assert hybrid.plan(make_job(0, 0), SCAN_PLAN).chosen == "rede"
-        fast_scan = HybridExecutor(catalog, store,
-                                   ClusterSpec(num_nodes=NUM_NODES))
-        assert fast_scan.plan(make_job(0, 0), SCAN_PLAN).chosen == "scan"
+        assert self.make(setup, slow_scan).plan(
+            range_probe(0, 0)).chosen == "index"
+        assert self.make(setup).plan(range_probe(0, 0)).chosen == "scan"
 
     def test_calibrate_matches_observed_accesses(self, setup):
-        hybrid = self.make(setup)
-        job = make_job(10, 29)  # 20 values x 10 records = 200 matches
-        factor = hybrid.calibrate(job)
+        executor = self.make(setup)
+        logical = range_probe(10, 29)  # 20 values x 10 records = 200 matches
         # Job shape: index entries (200) + base rows (200) over 200
         # initial matches -> factor == 2.0 exactly.
-        assert factor == pytest.approx(2.0)
-        assert (hybrid.cost_model.per_match_access_factor
-                == pytest.approx(2.0))
-        # The calibrated estimate is consistent with the throughput term.
-        estimate = hybrid.cost_model.estimate_rede_seconds(
-            hybrid.catalog, job)
-        assert estimate > 0
+        assert executor.calibrate(logical) == pytest.approx(2.0)
+        assert executor.per_match_access_factor == pytest.approx(2.0)
+        assert executor.plan(logical).index_estimate > 0
 
     def test_calibration_improves_estimate(self, setup):
-        catalog, store = setup
-        hybrid = self.make(setup)
-        job = make_job(0, 99)
-        uncalibrated = hybrid.cost_model.estimate_rede_seconds(catalog, job)
-        hybrid.calibrate(job)
-        calibrated = hybrid.cost_model.estimate_rede_seconds(catalog, job)
+        executor = self.make(setup)
+        logical = range_probe(0, 99)
+        uncalibrated = executor.plan(logical).index_estimate
+        executor.calibrate(logical)
+        calibrated = executor.plan(logical).index_estimate
         # Default factor = num dereference stages (2); observed factor is
         # also 2 for this job shape, so estimates agree — the point is the
         # factor is now grounded in measurement, not stage count.
         assert calibrated == pytest.approx(uncalibrated)
 
     def test_force_overrides_choice(self, setup):
-        hybrid = self.make(setup)
-        forced = hybrid.execute(make_job(0, 0), SCAN_PLAN, force="scan")
-        assert len(forced.rows) == 1000  # scan actually ran
-        forced_rede = hybrid.execute(make_job(0, 0), SCAN_PLAN,
-                                     force="rede")
+        executor = self.make(setup)
+        logical = range_probe(0, 0)
+        assert executor.plan(logical).chosen == "scan"
+        forced_rede = executor.execute(logical, force="index")
+        assert forced_rede.executed == "index"
         assert len(forced_rede.rows) == 10  # v == 0 occurs 10 times
+        forced_scan = executor.execute(logical, force="scan")
+        assert forced_scan.executed == "scan"
+        assert len(forced_scan.rows) == 10

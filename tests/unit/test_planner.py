@@ -3,13 +3,20 @@
 import pytest
 
 from repro.cluster import ClusterSpec, NodeSpec
-from repro.core import (AccessMethodDefinition, ChainQuery,
-                        MappingInterpreter, Record, StructureCatalog)
-from repro.engine import CostModel, HybridExecutor, PlanningExecutor
+from repro.core import (AccessMethodDefinition, ChainQuery, Dereferencer,
+                        IndexLookupDereferencer, IndexRangeDereferencer,
+                        JobBuilder, MappingInterpreter, Pointer, PointerRange,
+                        Record, StructureCatalog)
+from repro.engine import PlanningExecutor, ReDeExecutor
 from repro.errors import ExecutionError, JobDefinitionError
 from repro.ingest import IngestCoordinator, MicroBatch
-from repro.plan import ACCESS_INDEX, ACCESS_SCAN, LogicalPlan, StagePlanner
-from repro.plan.planner import expected_cache_hit_rate, working_set_bytes
+from repro.plan import (ACCESS_INDEX, ACCESS_SCAN, LogicalPlan, StagePlanner,
+                        compile_logical)
+from repro.plan import planner as planner_module
+from repro.plan.planner import (estimate_indexed_job_seconds,
+                                estimate_scan_plan_seconds,
+                                expected_cache_hit_rate, initial_cardinality,
+                                working_set_bytes)
 from repro.queries import TpchWorkload, canonical_q5_rows_rede
 from repro.storage import DistributedFileSystem
 from repro.storage.blockstore import BlockStore
@@ -35,9 +42,8 @@ def logical(workload):
     return workload.q5_chain(low, high, REGION).logical_plan()
 
 
-def make_planner(workload, spec, **kwargs):
-    return StagePlanner(workload.catalog, workload.blockstore, spec,
-                        **kwargs)
+def make_planner(workload, spec):
+    return StagePlanner(workload.catalog, workload.blockstore, spec)
 
 
 class TestStagePlanner:
@@ -82,10 +88,12 @@ class TestStagePlanner:
                                    planned.stage_estimates):
             assert stage.estimated_rows == estimate.rows_out
 
-    def test_margin_one_never_picks_mixed(self, workload, spec, logical):
-        """margin=0 demands an infinite improvement, so the planner always
-        falls back to exactly the old hybrid's degenerate choice."""
-        planned = make_planner(workload, spec, margin=0.0).plan(logical)
+    def test_margin_one_never_picks_mixed(self, workload, spec, logical,
+                                          monkeypatch):
+        """MARGIN=0 demands an infinite improvement, so the planner always
+        falls back to exactly the whole-query degenerate choice."""
+        monkeypatch.setattr(planner_module, "MARGIN", 0.0)
+        planned = make_planner(workload, spec).plan(logical)
         assert planned.chosen in ("index", "scan")
         expected = ("index" if planned.scan_estimate is None
                     or planned.index_estimate <= planned.scan_estimate
@@ -94,17 +102,19 @@ class TestStagePlanner:
 
     def test_envelope_choice_matches_old_hybrid(self, workload, spec,
                                                 logical):
-        """Degenerate estimates equal the old optimizer's estimates, so
-        the fallback decision is the old decision."""
+        """Degenerate estimates are the whole-job primitives over the
+        hand-written Q5' job and scan plan, so the fallback decision is
+        the classic whole-query index-vs-scan decision."""
         low, high = workload.date_range(SELECTIVITY)
-        hybrid = HybridExecutor(workload.catalog, workload.blockstore,
-                                spec)
-        choice = hybrid.plan(workload.q5_job(low, high, REGION),
-                             workload.q5_scan_plan(low, high, REGION))
         planned = make_planner(workload, spec).plan(logical)
         assert planned.index_estimate == pytest.approx(
-            choice.rede_estimate)
-        assert planned.scan_estimate == pytest.approx(choice.scan_estimate)
+            estimate_indexed_job_seconds(spec, workload.catalog,
+                                         workload.q5_job(low, high,
+                                                         REGION)))
+        assert planned.scan_estimate == pytest.approx(
+            estimate_scan_plan_seconds(
+                spec, workload.blockstore,
+                workload.q5_scan_plan(low, high, REGION)))
 
     def test_empty_chain_rejected(self, workload, spec):
         with pytest.raises(JobDefinitionError, match="empty chain"):
@@ -172,7 +182,7 @@ class TestPlanningExecutor:
 
 
 class TestCacheAwareCostModel:
-    """Satellite: cache_bytes > 0 discounts repeated index-probe IO."""
+    """cache_bytes > 0 discounts repeated index-probe IO."""
 
     def make_spec(self, base_spec, cache_bytes):
         return ClusterSpec(
@@ -186,20 +196,18 @@ class TestCacheAwareCostModel:
     def test_estimate_drops_with_cache(self, workload, spec):
         low, high = workload.date_range(SELECTIVITY)
         job = workload.q5_job(low, high, REGION)
-        cold = CostModel(spec)
-        warm = CostModel(self.make_spec(spec, 64 * 1024 * 1024))
-        cold_estimate = cold.estimate_rede_seconds(workload.catalog, job)
-        warm_estimate = warm.estimate_rede_seconds(workload.catalog, job)
-        assert warm_estimate < cold_estimate
+        warm = self.make_spec(spec, 64 * 1024 * 1024)
+        assert (estimate_indexed_job_seconds(warm, workload.catalog, job)
+                < estimate_indexed_job_seconds(spec, workload.catalog, job))
 
     def test_discount_scales_with_pool_size(self, workload, spec):
         low, high = workload.date_range(SELECTIVITY)
         job = workload.q5_job(low, high, REGION)
         working = working_set_bytes(workload.catalog, job)
-        small = CostModel(self.make_spec(spec, working // 40))
-        big = CostModel(self.make_spec(spec, working))
-        assert (big.estimate_rede_seconds(workload.catalog, job)
-                < small.estimate_rede_seconds(workload.catalog, job))
+        small = self.make_spec(spec, working // 40)
+        big = self.make_spec(spec, working)
+        assert (estimate_indexed_job_seconds(big, workload.catalog, job)
+                < estimate_indexed_job_seconds(small, workload.catalog, job))
 
     def test_hit_rate_clamps_to_one(self, spec):
         huge = self.make_spec(spec, 10 ** 12)
@@ -207,15 +215,51 @@ class TestCacheAwareCostModel:
         assert expected_cache_hit_rate(spec, 1024.0) == 0.0
 
     def test_zero_cache_matches_classic_formula(self, workload, spec):
-        """cache_bytes == 0 keeps the pre-plan arithmetic bit-identical."""
+        """cache_bytes == 0 prices floor + accesses over cluster IOPS."""
         low, high = workload.date_range(SELECTIVITY)
         job = workload.q5_job(low, high, REGION)
-        from repro.plan.planner import estimate_indexed_job_seconds
+        cold = self.make_spec(spec, 0)
+        disk = cold.node.disk
+        derefs = sum(isinstance(f, Dereferencer) for f in job.functions)
+        accesses = initial_cardinality(workload.catalog, job.inputs) * derefs
+        assert (estimate_indexed_job_seconds(cold, workload.catalog, job)
+                == derefs * disk.random_service_time
+                + accesses / (disk.random_iops * cold.num_nodes))
 
-        model = CostModel(spec)
-        assert (model.estimate_rede_seconds(workload.catalog, job)
-                == estimate_indexed_job_seconds(spec, workload.catalog,
-                                                job))
+
+class TestCardinalityRouting:
+    """The estimate counts exactly the partitions the engines probe."""
+
+    NODES = 4
+
+    @pytest.fixture(scope="class")
+    def lake(self):
+        catalog = StructureCatalog(DistributedFileSystem(num_nodes=self.NODES))
+        catalog.register_file(
+            "t", [Record({"pk": i, "v": i % 100}) for i in range(1000)],
+            lambda r: r["pk"])
+        for scope in ("global", "local", "replicated"):
+            catalog.register_access_method(AccessMethodDefinition(
+                f"idx_{scope}", "t", interpreter=MappingInterpreter(),
+                key_field="v", scope=scope))
+        catalog.build_all()
+        return catalog
+
+    @pytest.mark.parametrize("scope", ["global", "local", "replicated"])
+    @pytest.mark.parametrize("target", ["range", "keyed", "broadcast"])
+    def test_estimate_equals_reference_rows(self, lake, scope, target):
+        index = f"idx_{scope}"
+        if target == "range":
+            probe = PointerRange(index, 0, 9)
+            dereferencer = IndexRangeDereferencer(index)
+        else:
+            probe = Pointer(index, 5 if target == "keyed" else None, 5)
+            dereferencer = IndexLookupDereferencer(index)
+        job = (JobBuilder("probe").dereference(dereferencer)
+               .input(probe).build())
+        rows = ReDeExecutor(None, lake, mode="reference").execute(job).rows
+        assert len(rows) == (100 if target == "range" else 10)
+        assert initial_cardinality(lake, job.inputs) == len(rows)
 
 
 class TestFreshTableScans:
@@ -278,9 +322,6 @@ class TestFreshTableScans:
         assert planned.scan_estimate is None
 
     def test_scan_backed_stage_answers_fresh(self):
-        from repro.engine import ReDeExecutor
-        from repro.plan import compile_logical
-
         catalog, __ = self.make_lake()
         self.ingest(catalog)
         logical = self.make_logical()

@@ -44,13 +44,13 @@ class TestTpchWorkload:
         assert job.structures()[-1] == "supplier"
 
     def test_q5_scan_plan_covers_six_tables(self, workload):
-        from repro.engine.hybrid import _plan_joins, _plan_tables
+        from repro.plan.planner import plan_joins, plan_tables
 
         plan = workload.q5_scan_plan("1994-01-01", "1994-06-30")
-        assert sorted(_plan_tables(plan)) == [
+        assert sorted(plan_tables(plan)) == [
             "customer", "lineitem", "nation", "orders", "region",
             "supplier"]
-        assert _plan_joins(plan) == 5
+        assert plan_joins(plan) == 5
 
     def test_date_range_matches_generator(self, workload):
         low, high = workload.date_range(0.1)
