@@ -17,7 +17,7 @@ the reference executor in the integration tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, Union, cast
 
 from repro.baselines.hashjoin import HashJoinStats, join_sized_rows
 from repro.cluster.cluster import Cluster
@@ -98,7 +98,13 @@ class ScanEngine:
                                            name="scan-engine",
                                            max_time=max_time)
         metrics.elapsed_seconds = elapsed
-        return ScanResult(holder["rows"], metrics)
+        rows = holder["rows"]
+        if isinstance(plan, ScanNode):
+            # Scan rows are the interpreter's views and may alias stored
+            # payloads; join outputs are fresh dicts.  The caller owns
+            # what it gets back, so a bare scan copies its output once.
+            rows = [dict(row) for row in rows]
+        return ScanResult(rows, metrics)
 
     # -- operators ---------------------------------------------------------
 
@@ -111,29 +117,45 @@ class ScanEngine:
         raise ExecutionError(f"unknown plan node {node!r}")
 
     def _scan(self, node: ScanNode, metrics: ScanEngineMetrics):
-        """Every node scans its local blocks in parallel; filters on cores."""
+        """Every node scans its local blocks in parallel; filters on cores.
+
+        Block at a time: one ``interpret_batch`` per block.  Rows are the
+        interpreter's views, not copies, so they may alias stored
+        payloads and are read-only inside the engine (SMPE's filters and
+        referencers see the same objects).
+        """
         cluster = self.cluster
         per_node_rows: list[list[Row]] = [[] for __ in range(cluster.num_nodes)]
         per_node_sizes: list[list[int]] = [[] for __ in range(cluster.num_nodes)]
+        interpret_batch = node.interpreter.interpret_batch
+        predicate = node.predicate
 
         def scan_on(node_id: int):
             sim_node = cluster.node(node_id)
-            blocks = self.store.blocks_on_node(node.table, node_id)
-            for block in blocks:
+            rows = per_node_rows[node_id]
+            sizes = per_node_sizes[node_id]
+            for block in self.store.blocks_on_node(node.table, node_id):
+                records = block.records
                 metrics.bytes_scanned += block.nbytes
-                metrics.rows_scanned += len(block)
+                metrics.rows_scanned += len(records)
                 yield from sim_node.disk.sequential_read(block.nbytes)
-                yield from self._charge_tuples(node_id, len(block))
-                for record in block.records:
-                    view = node.interpreter.interpret(record)
-                    row = dict(view)
-                    if node.predicate is None or node.predicate(row):
-                        per_node_rows[node_id].append(row)
-                        # The record's own payload is sized (and cached)
-                        # at load; any other view is sized here, once.
-                        per_node_sizes[node_id].append(
-                            record.size_bytes if view is record.data
-                            else estimate_size(row))
+                yield from self._charge_tuples(node_id, len(records))
+                # Views are read-only mappings, handled as rows.
+                views = cast("list[Row]", interpret_batch(records))
+                # The record's own payload is sized (and cached) at load;
+                # any other view is sized here, once.
+                if predicate is None:
+                    rows.extend(views)
+                    sizes.extend([
+                        record.size_bytes if view is record.data
+                        else estimate_size(view)
+                        for record, view in zip(records, views)])
+                    continue
+                for record, view in zip(records, views):
+                    if predicate(view):
+                        rows.append(view)
+                        sizes.append(record.size_bytes if view is record.data
+                                     else estimate_size(view))
 
         procs = [cluster.launch(scan_on(n), name=f"scan@{n}")
                  for n in range(cluster.num_nodes)]

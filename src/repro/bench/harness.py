@@ -9,7 +9,7 @@ diff-friendly plain-text format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Sequence
 
 __all__ = ["SweepTable", "format_seconds", "format_factor", "geometric_mean"]
 

@@ -17,6 +17,7 @@ are expressible.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 from typing import Any, Callable, Optional
 
 from repro.core.records import Record
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 Context = Mapping[str, Any]
+
+#: the view of a payload that has no fields; read-only because it is shared
+_EMPTY_VIEW: Mapping[str, Any] = MappingProxyType({})
 
 
 class Interpreter:
@@ -72,12 +76,13 @@ class MappingInterpreter(Interpreter):
         data = record.data
         if type(data) is dict or isinstance(data, Mapping):
             return data
-        return {}
+        return _EMPTY_VIEW
 
     def interpret_batch(self, records: Sequence[Record]
                         ) -> list[Mapping[str, Any]]:
-        empty: Mapping[str, Any] = {}
-        return [record.data if isinstance(record.data, Mapping) else empty
+        # Exactly ``[self.interpret(r) for r in records]``, inlined.
+        return [data if type(data := record.data) is dict
+                or isinstance(data, Mapping) else _EMPTY_VIEW
                 for record in records]
 
 

@@ -336,13 +336,13 @@ class StagePlanner:
         return self._file(name).total_bytes
 
     def _distinct_loader_keys(self, table: str) -> int:
-        cache_key = (table, "__loader__")
-        if cache_key not in self._distinct_cache:
-            key_fn = self.catalog.dfs.loader_info(table).key_fn
-            file = self._file(table)
-            self._distinct_cache[cache_key] = len(
-                {key_fn(record) for record in file.scan()})
-        return self._distinct_cache[cache_key]
+        # Read off the heaps' key directories in O(partitions).  Every heap
+        # append (the DFS load, catalog inserts, major compaction) keys its
+        # record by the loader's key_fn, and records with equal loader keys
+        # share a partition (every loader keys by its partition key or by a
+        # unique id), so the per-partition counts sum to exactly
+        # len({key_fn(r) for r in file.scan()}).
+        return self.catalog.dfs.get_base(table).distinct_keys
 
     def _distinct_index_keys(self, index_name: str) -> int:
         cache_key = (index_name, "__index__")

@@ -244,6 +244,13 @@ class PartitionedFile(File):
     def total_bytes(self) -> int:
         return sum(heap.total_bytes for heap in self.partitions)
 
+    @property
+    def distinct_keys(self) -> int:
+        """Distinct in-partition keys inserted, summed over partitions —
+        the file's distinct-key count whenever equal keys share a
+        partition."""
+        return sum(heap.distinct_keys for heap in self.partitions)
+
     def partition_bytes(self, partition_id: int) -> int:
         return self.partitions[self.partitioner.validate(partition_id)].total_bytes
 

@@ -26,6 +26,8 @@ class HeapFile:
         self._key_map: dict[Any, list[int]] = {}
         self._offsets: list[int] = []
         self.total_bytes = 0
+        #: distinct keys that :meth:`append` registered (aliases excluded)
+        self.distinct_keys = 0
 
     def append(self, record: Record, key: Optional[Any] = None) -> int:
         """Store ``record``; returns its slot.
@@ -39,7 +41,12 @@ class HeapFile:
         self._offsets.append(self.total_bytes)
         self.total_bytes += record.size_bytes
         if key is not None:
-            self._key_map.setdefault(key, []).append(slot)
+            slots = self._key_map.get(key)
+            if slots is None:
+                self._key_map[key] = [slot]
+                self.distinct_keys += 1
+            else:
+                slots.append(slot)
         return slot
 
     def alias(self, key: Any, slot: int) -> None:
@@ -49,7 +56,8 @@ class HeapFile:
         addresses (ingest tags) resolvable after their run is folded
         into the heap: queries in flight across the fold still hold
         index entries targeting the tags.  Costs one key-map entry, no
-        bytes.
+        bytes, and no :attr:`distinct_keys` (a tag never equals a key
+        that :meth:`append` registers).
         """
         if not 0 <= slot < len(self._records):
             raise RecordNotFound(

@@ -1,5 +1,7 @@
 """Unit tests for schema-on-read interpreters and filters."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from repro.core.interpreters import (
@@ -126,6 +128,31 @@ class TestBatchInterpretation:
         records = [Record({"a": 1}), Record("raw"), Record({"b": 2})]
         assert (INTERP.interpret_batch(records)
                 == [INTERP.interpret(r) for r in records])
+
+    def test_mapping_batch_returns_the_same_objects(self):
+        class Frozen(Mapping):
+            def __init__(self, data):
+                self._data = data
+
+            def __getitem__(self, key):
+                return self._data[key]
+
+            def __iter__(self):
+                return iter(self._data)
+
+            def __len__(self):
+                return len(self._data)
+
+        records = [Record({"a": 1}), Record(Frozen({"b": 2})),
+                   Record("raw"), Record({"c": 3}), Record(7)]
+        batch = INTERP.interpret_batch(records)
+        singles = [INTERP.interpret(r) for r in records]
+        assert len(batch) == len(singles)
+        for view, single in zip(batch, singles):
+            assert view is single
+        assert batch[0] is records[0].data
+        assert batch[1] is records[1].data
+        assert batch[2] == {} and batch[4] == {}
 
     def test_delimited_batch_matches_per_record(self):
         interp = DelimitedTextInterpreter(["id", "price"],
