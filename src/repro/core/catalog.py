@@ -25,10 +25,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.core.interpreters import Interpreter
+from repro.core.pointers import PointerKind
 from repro.core.records import Record
 from repro.errors import AccessMethodError, UnknownStructure
 from repro.storage.dfs import DistributedFileSystem
-from repro.storage.files import BtreeFile, File, PartitionedFile
+from repro.storage.files import BtreeFile, File, IndexEntry, PartitionedFile
 
 __all__ = ["AccessMethodDefinition", "StructureState", "StructureCatalog"]
 
@@ -334,7 +335,14 @@ class StructureCatalog:
         if self._states.get(name) is StructureState.READY or name in self.dfs:
             return self.dfs.get_index(name)
         definition = self.definition(name)
-        index = self._build(definition)
+        self._build(definition.base_file, [definition])
+        return self._finish_build(definition)
+
+    def _finish_build(self, definition: AccessMethodDefinition
+                      ) -> BtreeFile:
+        """Bookkeeping after :meth:`_build` materialized ``definition``."""
+        name = definition.name
+        index = self.dfs.get_index(name)
         self._states[name] = StructureState.READY
         self._checkpoints.pop(name, None)
         self.version += 1
@@ -365,7 +373,6 @@ class StructureCatalog:
         if not base_runs:
             return
         from repro.ingest.delta import DeltaRun, index_placements
-        from repro.storage.files import IndexEntry
 
         base = self.dfs.get_base(definition.base_file)
         loader = self.dfs.loader_info(definition.base_file)
@@ -403,52 +410,50 @@ class StructureCatalog:
                     len(base_runs), definition.name)
 
     def build_all(self) -> list[str]:
-        """Materialize every pending index; returns the names built."""
-        built = []
+        """Materialize every pending index; returns the names built.
+
+        Indexes over the same base file are built together, from one
+        pass over its heap, and are READY before the next base file's
+        build starts, so a failing build leaves no finished index behind
+        unmarked.  Names come back in the order they were finished.
+        """
+        built: list[str] = []
+        by_base: dict[str, list[AccessMethodDefinition]] = {}
         for name in self.pending():
-            self.ensure_built(name)
-            built.append(name)
+            if name in self.dfs:
+                built.append(name)  # materialized already: nothing to do
+                continue
+            definition = self._definitions[name]
+            by_base.setdefault(definition.base_file, []).append(definition)
+        for base_file, definitions in by_base.items():
+            self._build(base_file, definitions)
+            for definition in definitions:
+                self._finish_build(definition)
+                built.append(definition.name)
         return built
 
-    def _build(self, definition: AccessMethodDefinition) -> BtreeFile:
-        if definition.key_fn is None:
-            assert definition.interpreter is not None
-            interpreter = definition.interpreter
-            key_field = definition.key_field
+    def _build(self, base_file: str,
+               definitions: list[AccessMethodDefinition]) -> None:
+        """Materialize indexes over ``base_file`` from one heap pass."""
+        targets = []
+        for definition in definitions:
+            partitioner = None
+            if definition.partitioning == "range":
+                partitioner = self._range_partitioner_for(definition)
+            index = self.dfs.new_index(
+                definition.name, base_file, definition.scope,
+                num_partitions=definition.num_partitions,
+                order=definition.order, partitioner=partitioner)
+            targets.append((index, definition.extract_keys))
+        self.dfs.build_indexes(base_file, targets)
 
-            def extractor(record: Record) -> Any:
-                return interpreter.field(record, key_field)
-        else:
-            extractor = definition.extract_keys  # type: ignore[assignment]
-        key_fn = _flattening(extractor, definition)
-        if definition.scope == "local":
-            return self.dfs.build_local_index(
-                definition.name, definition.base_file, key_fn,
-                order=definition.order)
-        if definition.scope == "replicated":
-            return self.dfs.build_replicated_index(
-                definition.name, definition.base_file, key_fn,
-                order=definition.order)
-        partitioner = None
-        if definition.partitioning == "range":
-            partitioner = self._range_partitioner_for(definition, key_fn)
-        return self.dfs.build_global_index(
-            definition.name, definition.base_file, key_fn,
-            num_partitions=definition.num_partitions,
-            order=definition.order, partitioner=partitioner)
-
-    def _range_partitioner_for(self, definition: AccessMethodDefinition,
-                               key_fn: Callable[[Record], Any]):
+    def _range_partitioner_for(self, definition: AccessMethodDefinition):
         """Equi-depth split boundaries sampled from the base file's keys."""
         from repro.storage.partitioner import RangePartitioner
 
         keys: list[Any] = []
         for record in self.dfs.get_base(definition.base_file).scan():
-            extracted = key_fn(record)
-            if extracted is None:
-                continue
-            keys.extend(extracted if isinstance(extracted, list)
-                        else [extracted])
+            keys.extend(definition.extract_keys(record))
         keys.sort()
         num_partitions = self.dfs.default_partitions
         boundaries: list[Any] = []
@@ -487,7 +492,8 @@ class StructureCatalog:
                 continue
             index = self.dfs.get_index(name)
             for index_key in definition.extract_keys(record):
-                entry = _physical_entry(index_key, partition_key, slot)
+                entry = IndexEntry(index_key, partition_key, slot,
+                                   kind=PointerKind.PHYSICAL)
                 if definition.scope == "replicated":
                     # insert() replicates internally; every replica is a
                     # separate physical write.
@@ -614,23 +620,3 @@ class StructureCatalog:
                              "state": StructureState.BUILT.value})
         return rows
 
-
-def _physical_entry(index_key: Any, partition_key: Any, slot: int) -> Record:
-    from repro.core.pointers import PointerKind
-    from repro.storage.files import IndexEntry
-
-    return IndexEntry(index_key, partition_key, slot,
-                      kind=PointerKind.PHYSICAL)
-
-
-def _flattening(extractor: Callable[[Record], Any],
-                definition: AccessMethodDefinition
-                ) -> Callable[[Record], Any]:
-    """Adapt extraction to the DFS builder.
-
-    The DFS builder natively expands list-valued keys (one index entry per
-    key), so multi-valued access methods simply hand it the extracted list.
-    """
-    if definition.key_fn is None:
-        return extractor
-    return lambda record: definition.extract_keys(record) or None

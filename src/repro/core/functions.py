@@ -30,6 +30,7 @@ from repro.core.records import Record
 from repro.errors import ExecutionError, JobDefinitionError
 from repro.storage.files import (
     BtreeFile,
+    EntryPayload,
     File,
     PartitionedFile,
     TARGET_KEY_FIELD,
@@ -140,14 +141,21 @@ class IndexEntryReferencer(Referencer):
 
     def reference(self, record: Record,
                   context: Context) -> Iterable[Emission]:
-        try:
-            partition_key = record[TARGET_PARTITION_FIELD]
-            key = record[TARGET_KEY_FIELD]
-        except (KeyError, TypeError) as exc:
-            raise ExecutionError(
-                f"record {record!r} is not an index entry") from exc
-        kind = PointerKind(record.get(TARGET_KIND_FIELD,
-                                      PointerKind.LOGICAL.value))
+        data = record.data
+        if type(data) is EntryPayload:
+            partition_key = data.target_partition_key
+            key = data.target_key
+            kind = (PointerKind.LOGICAL if data.target_kind is None
+                    else PointerKind.PHYSICAL)
+        else:
+            try:
+                partition_key = record[TARGET_PARTITION_FIELD]
+                key = record[TARGET_KEY_FIELD]
+            except (KeyError, TypeError) as exc:
+                raise ExecutionError(
+                    f"record {record!r} is not an index entry") from exc
+            kind = PointerKind(record.get(TARGET_KIND_FIELD,
+                                          PointerKind.LOGICAL.value))
         if self.carry:
             context = _extend_context(context, {
                 ctx_key: record.get(field)

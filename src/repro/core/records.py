@@ -63,9 +63,11 @@ class Record:
 
     __slots__ = ("data", "_size")
 
-    def __init__(self, data: Any) -> None:
+    def __init__(self, data: Any, size: int | None = None) -> None:
         self.data = data
-        self._size: int | None = None
+        #: ``estimate_size(data)``; a caller that already summed it from
+        #: the payload's parts passes it in, and it is trusted as is
+        self._size = size
 
     @property
     def size_bytes(self) -> int:

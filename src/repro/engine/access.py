@@ -53,8 +53,8 @@ from repro.core.functions import Dereferencer
 from repro.core.pointers import Pointer, PointerKind, PointerRange
 from repro.core.records import Record
 from repro.ingest.delta import (dead_base_keys, is_delta_tag,
-                                probe_delta_runs, probe_delta_tag,
-                                tombstone_set)
+                                live_entries, probe_delta_runs,
+                                probe_delta_tag, tombstone_set)
 from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
                                   FailureReport)
 from repro.engine.trace import TraceEvent
@@ -63,9 +63,8 @@ from repro.errors import (DereferenceTimeout, ExecutionError, FaultError,
                           TransientIOError)
 from repro.plan.scanstage import ScanLookupDereferencer
 from repro.storage.cache import PageId, page_checksum
-from repro.storage.files import (INDEX_KEY_FIELD, TARGET_KEY_FIELD,
-                                 TARGET_KIND_FIELD, TARGET_PARTITION_FIELD,
-                                 BtreeFile, File, PartitionedFile)
+from repro.storage.files import (BtreeFile, File, PartitionedFile,
+                                 entry_key, index_buckets)
 from repro.storage.partitioner import RangePartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -497,39 +496,18 @@ class _ScanRecoveryTable:
         self.loader = catalog.dfs.loader_info(self.definition.base_file)
         self._event: Any = None
         self._ready = False
-        self._pairs: dict[int, list[tuple[Any, Record]]] = {}
+        self._entries: dict[int, list[Record]] = {}
         self._keys: dict[int, list[Any]] = {}
 
     def _materialize(self) -> None:
-        from repro.core.pointers import PointerKind
-        from repro.storage.files import IndexEntry
-
-        replicated = self.file.scope == "replicated"
-        local = self.file.scope == "local"
-        buckets: dict[int, list[tuple[Any, Record]]] = {
-            pid: [] for pid in range(self.file.num_partitions)}
-        for __, heap in enumerate(self.base.partitions):
-            for slot, record in enumerate(heap.scan()):
-                keys = self.definition.extract_keys(record)
-                base_partition_key = (self.loader.partition_key_fn(record)
-                                      if keys else None)
-                for index_key in keys:
-                    entry = IndexEntry(index_key, base_partition_key, slot,
-                                       kind=PointerKind.PHYSICAL)
-                    if replicated:
-                        for bucket in buckets.values():
-                            bucket.append((index_key, entry))
-                        continue
-                    placement_key = (base_partition_key if local
-                                     else index_key)
-                    pid = self.file.partition_of_key(placement_key)
-                    buckets[pid].append((index_key, entry))
-        for pid, bucket in buckets.items():
-            # Stable sort: within one key, entries keep base slot order —
-            # the same duplicate order the B-tree's bulk load produces.
-            bucket.sort(key=lambda pair: pair[0])
-            self._pairs[pid] = bucket
-            self._keys[pid] = [key for key, __ in bucket]
+        # The DFS build's own entry derivation: within one key, entries
+        # keep base slot order, the duplicate order of the B-tree.
+        [(buckets, __)] = index_buckets(
+            self.base, self.loader.partition_key_fn,
+            [(self.file, self.definition.extract_keys)])
+        for pid, bucket in enumerate(buckets):
+            self._entries[pid] = bucket
+            self._keys[pid] = list(map(entry_key, bucket))
 
     def charge_build(self, cluster: Cluster,
                      metrics: ExecutionMetrics) -> Iterator:
@@ -571,7 +549,7 @@ class _ScanRecoveryTable:
 
     def probe(self, target: Target, partition_id: int) -> list[Record]:
         """The entries the healthy index would return for this probe."""
-        pairs = self._pairs.get(partition_id, [])
+        entries = self._entries.get(partition_id, [])
         keys = self._keys.get(partition_id, [])
         if isinstance(target, PointerRange):
             lo = (0 if target.low is None
@@ -585,7 +563,7 @@ class _ScanRecoveryTable:
         else:
             lo = bisect.bisect_left(keys, target.key)
             hi = bisect.bisect_right(keys, target.key)
-        return [entry for __, entry in pairs[lo:hi]]
+        return entries[lo:hi]
 
 
 def _scan_recoverable(catalog: "StructureCatalog", name: str) -> bool:
@@ -643,16 +621,8 @@ def _merge_deltas(metrics: ExecutionMetrics, dereferencer: Dereferencer,
     if isinstance(file, BtreeFile):
         tombstones = tombstone_set(runs, partition_id)
         if tombstones:
-            kept = []
-            for record in records:
-                data = record.data
-                if (data.get(TARGET_KIND_FIELD) == PointerKind.PHYSICAL.value
-                        and (data.get(INDEX_KEY_FIELD),
-                             data.get(TARGET_PARTITION_FIELD),
-                             data.get(TARGET_KEY_FIELD)) in tombstones):
-                    metrics.delta_superseded += 1
-                    continue
-                kept.append(record)
+            kept = live_entries(records, tombstones)
+            metrics.delta_superseded += len(records) - len(kept)
             records = kept
         additions, superseded = probe_delta_runs(runs, partition_id, target)
     else:

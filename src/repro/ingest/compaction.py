@@ -29,10 +29,9 @@ from typing import Optional
 
 from repro.cluster.cluster import Cluster
 from repro.core.catalog import StructureCatalog
-from repro.core.pointers import PointerKind
 from repro.errors import NodeCrashed, ReproError
 from repro.ingest.delta import merge_runs
-from repro.storage.files import IndexEntry, PartitionedFile
+from repro.storage.files import PartitionedFile
 from repro.storage.heapfile import HeapFile
 
 __all__ = ["CompactionPolicy", "Compactor"]
@@ -293,22 +292,12 @@ class Compactor:
         # Every materialized index is rebuilt — appends add entries and
         # removed upsert victims shift heap slots, so even run-less
         # trees must be reloaded from the new heap.
+        dfs = self.catalog.dfs
         definitions = [d for d in self.catalog.definitions_over(file_name)
-                       if d.name in self.catalog.dfs]
+                       if d.name in dfs]
+        dfs.load_indexes(file_name, [(dfs.get_index(d.name), d.extract_keys)
+                                     for d in definitions])
         for definition in definitions:
-            index = self.catalog.dfs.get_index(definition.name)
-            entries = []
-            for pid, heap in enumerate(base.partitions):
-                for slot, record in enumerate(heap.scan()):
-                    base_pk = loader.partition_key_fn(record)
-                    for index_key in definition.extract_keys(record):
-                        entry = IndexEntry(index_key, base_pk, slot,
-                                           kind=PointerKind.PHYSICAL)
-                        placement_key = (base_pk
-                                         if definition.scope == "local"
-                                         else index_key)
-                        entries.append((index_key, entry, placement_key))
-            index.bulk_build(entries)
             registry.retire(definition.name)
             self.catalog.invalidate_cached(definition.name)
         registry.retire(file_name)

@@ -35,7 +35,7 @@ ingested batches every query path is bit-identical to a static lake.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
@@ -44,6 +44,7 @@ from repro.ingest.watermark import FreshnessWatermark
 
 __all__ = ["DeltaRun", "DeltaRegistry", "probe_delta_runs",
            "probe_delta_tag", "dead_base_keys", "tombstone_set",
+           "live_entries",
            "merge_runs", "delta_tag", "is_delta_tag",
            "index_placements"]
 
@@ -203,6 +204,23 @@ def tombstone_set(runs: list[DeltaRun], pid: int) -> frozenset:
     for run in runs:
         dead |= run.tombstones.get(pid, frozenset())
     return frozenset(dead)
+
+
+def live_entries(entries: Sequence[Record],
+                 tombstones: frozenset) -> list[Record]:
+    """The built-tree entries that ``tombstones`` did not kill.
+
+    A tombstone names a physical entry by ``(index_key,
+    target_partition_key, slot)``; logical entries never die this way.
+    """
+    kept = []
+    for entry in entries:
+        data = entry.data  # an EntryPayload: catalog trees hold no other
+        if (data.target_kind is None
+                or (data.key, data.target_partition_key,
+                    data.target_key) not in tombstones):
+            kept.append(entry)
+    return kept
 
 
 def probe_delta_runs(runs: list[DeltaRun], pid: int, target: Target

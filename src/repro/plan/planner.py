@@ -34,7 +34,7 @@ from repro.core.interpreters import (
     FieldRangeFilter,
     Filter,
 )
-from repro.core.pointers import Pointer, PointerKind, PointerRange
+from repro.core.pointers import Pointer, PointerRange
 from repro.errors import ExecutionError, JobDefinitionError
 from repro.plan.logical import JoinNode, LogicalPlan, SourceNode
 from repro.plan.lowering import compile_logical, to_scan_plan
@@ -127,21 +127,14 @@ def _delta_adjustment(runs: list, target: Target, pid: int,
     # plan, like engine, may use ingest.delta's probe helpers for
     # freshness-aware statistics); imported lazily to keep the static
     # planning path import-free of the ingest package.
-    from repro.ingest.delta import probe_delta_runs, tombstone_set
-    from repro.storage.files import (INDEX_KEY_FIELD, TARGET_KEY_FIELD,
-                                     TARGET_KIND_FIELD,
-                                     TARGET_PARTITION_FIELD)
+    from repro.ingest.delta import (live_entries, probe_delta_runs,
+                                    tombstone_set)
 
     killed = 0
     tombstones = tombstone_set(runs, pid)
     if tombstones:
-        for record in built_matches:
-            data = record.data
-            if (data.get(TARGET_KIND_FIELD) == PointerKind.PHYSICAL.value
-                    and (data.get(INDEX_KEY_FIELD),
-                         data.get(TARGET_PARTITION_FIELD),
-                         data.get(TARGET_KEY_FIELD)) in tombstones):
-                killed += 1
+        killed = len(built_matches) - len(live_entries(built_matches,
+                                                       tombstones))
     additions, __ = probe_delta_runs(runs, pid, target)
     return len(additions) - killed
 

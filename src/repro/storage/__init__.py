@@ -13,6 +13,7 @@ from repro.storage.cache import (
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.files import (
     BtreeFile,
+    EntryPayload,
     File,
     IndexEntry,
     PartitionedFile,
@@ -36,6 +37,7 @@ __all__ = [
     "PageId",
     "DistributedFileSystem",
     "BtreeFile",
+    "EntryPayload",
     "File",
     "IndexEntry",
     "PartitionedFile",

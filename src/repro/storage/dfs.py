@@ -19,22 +19,20 @@ secondary indexes from key-extractor functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from repro.core.pointers import PointerKind
 from repro.core.records import Record
 from repro.errors import StorageError, UnknownStructure
 from repro.storage.files import (
     BtreeFile,
     File,
-    IndexEntry,
+    KeyFn,
     PartitionedFile,
+    index_buckets,
 )
 from repro.storage.partitioner import HashPartitioner, Partitioner
 
 __all__ = ["DistributedFileSystem", "LoaderInfo"]
-
-KeyFn = Callable[[Record], Any]
 
 
 @dataclass
@@ -122,8 +120,9 @@ class DistributedFileSystem:
         """
         key_fn = key_fn or partition_key_fn
         file = self.create_file(name, num_partitions=num_partitions)
+        # append, not insert: nobody here reads a pointer per record.
         for record in records:
-            file.insert(record, partition_key_fn(record), key_fn(record))
+            file.append(record, partition_key_fn(record), key_fn(record))
         self._loaders[name] = LoaderInfo(partition_key_fn, key_fn)
         return file
 
@@ -151,10 +150,10 @@ class DistributedFileSystem:
         :class:`~repro.storage.partitioner.RangePartitioner` to make range
         probes prunable to the overlapping partitions.
         """
-        return self._build_index(index_name, base_name, index_key_fn,
-                                 scope="global",
-                                 num_partitions=num_partitions, order=order,
-                                 partitioner=partitioner)
+        index = self.new_index(index_name, base_name, "global",
+                               num_partitions=num_partitions, order=order,
+                               partitioner=partitioner)
+        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
 
     def build_replicated_index(self, index_name: str, base_name: str,
                                index_key_fn: KeyFn,
@@ -165,9 +164,9 @@ class DistributedFileSystem:
         node-local (no cross-node index traffic), at the cost of N-fold
         build/maintenance work and capacity.
         """
-        return self._build_index(index_name, base_name, index_key_fn,
-                                 scope="replicated", num_partitions=None,
-                                 order=order)
+        index = self.new_index(index_name, base_name, "replicated",
+                               order=order)
+        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
 
     def build_local_index(self, index_name: str, base_name: str,
                           index_key_fn: KeyFn,
@@ -177,58 +176,54 @@ class DistributedFileSystem:
         The paper builds these on date columns (e.g. ``o_orderdate``); range
         probes visit every partition, each node handling its local ones.
         """
-        return self._build_index(index_name, base_name, index_key_fn,
-                                 scope="local", num_partitions=None,
-                                 order=order)
+        index = self.new_index(index_name, base_name, "local", order=order)
+        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
 
-    def _build_index(self, index_name: str, base_name: str,
-                     index_key_fn: KeyFn, scope: str,
-                     num_partitions: Optional[int], order: int,
-                     partitioner: Optional[Partitioner] = None) -> BtreeFile:
+    def new_index(self, index_name: str, base_name: str, scope: str,
+                  num_partitions: Optional[int] = None, order: int = 64,
+                  partitioner: Optional[Partitioner] = None) -> BtreeFile:
+        """An empty index over ``base_name``, shaped for ``scope``; not
+        in the namespace until :meth:`build_indexes` fills it."""
         base = self.get_base(base_name)
-        loader = self.loader_info(base_name)
         if scope == "local":
             # Local index partitions mirror the base file exactly, entry
             # placement included, so it reuses the base partitioner.
-            partitioner = base.partitioner
             placement = [base.node_of(pid)
                          for pid in range(base.num_partitions)]
-            index = BtreeFile(index_name, partitioner, placement=placement,
-                              scope="local", order=order)
-        elif scope == "replicated":
+            return BtreeFile(index_name, base.partitioner,
+                             placement=placement, scope="local", order=order)
+        if scope == "replicated":
             # One replica partition per node, placed on that node.
-            partitioner = HashPartitioner(self.num_nodes)
-            index = BtreeFile(index_name, partitioner,
-                              placement=list(range(self.num_nodes)),
-                              scope="replicated", order=order)
-        else:
-            if partitioner is None:
-                partitioner = HashPartitioner(
-                    num_partitions or self.default_partitions)
-            index = BtreeFile(index_name, partitioner,
-                              num_nodes=self.num_nodes, scope="global",
-                              order=order)
-        entries = []
-        # Entries address base records *physically* (partition-routing key
-        # + slot), so each resolves to exactly the record that produced it
-        # even when the base file's logical key is non-unique.
-        for pid, heap in enumerate(base.partitions):
-            for slot, record in enumerate(heap.scan()):
-                keys = index_key_fn(record)
-                if keys is None:
-                    # schema-on-read: records missing the key are skipped
-                    continue
-                if not isinstance(keys, list):
-                    keys = [keys]
-                base_partition_key = loader.partition_key_fn(record)
-                for index_key in keys:
-                    entry = IndexEntry(index_key, base_partition_key, slot,
-                                       kind=PointerKind.PHYSICAL)
-                    # Local entries colocate with the base partition;
-                    # global entries partition by the index key itself.
-                    placement_key = (base_partition_key if scope == "local"
-                                     else index_key)
-                    entries.append((index_key, entry, placement_key))
-        index.bulk_build(entries)
-        self.add(index)
-        return index
+            return BtreeFile(index_name, HashPartitioner(self.num_nodes),
+                             placement=list(range(self.num_nodes)),
+                             scope="replicated", order=order)
+        if partitioner is None:
+            partitioner = HashPartitioner(
+                num_partitions or self.default_partitions)
+        return BtreeFile(index_name, partitioner, num_nodes=self.num_nodes,
+                         scope=scope, order=order)
+
+    def load_indexes(self, base_name: str,
+                     targets: Sequence[tuple[BtreeFile, KeyFn]]) -> None:
+        """(Re)load every ``(index, key_fn)`` target from one pass over
+        ``base_name``'s heap.
+
+        Entries address base records *physically* (partition-routing key
+        + slot), so each resolves to exactly the record that produced it
+        even when the base file's logical key is non-unique.
+        """
+        base = self.get_base(base_name)
+        loader = self.loader_info(base_name)
+        built = index_buckets(base, loader.partition_key_fn, targets)
+        for (index, __), (buckets, total_bytes) in zip(targets, built):
+            index.load_entries(buckets, total_bytes)
+
+    def build_indexes(self, base_name: str,
+                      targets: Sequence[tuple[BtreeFile, KeyFn]]
+                      ) -> list[BtreeFile]:
+        """Fill fresh indexes from one heap pass and add them to the
+        namespace; returns them in ``targets`` order."""
+        self.load_indexes(base_name, targets)
+        for index, __ in targets:
+            self.add(index)
+        return [index for index, __ in targets]

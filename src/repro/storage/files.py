@@ -18,10 +18,12 @@ engines' job.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from collections.abc import Mapping
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.pointers import Pointer, PointerKind, PointerRange
-from repro.core.records import Record
+from repro.core.records import Record, estimate_size
 from repro.errors import PartitionError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.cache import PageId
@@ -29,8 +31,8 @@ from repro.storage.heapfile import HeapFile
 from repro.storage.partitioner import HashPartitioner, Partitioner, \
     stable_hash
 
-__all__ = ["File", "PartitionedFile", "BtreeFile", "IndexEntry",
-           "round_robin_placement"]
+__all__ = ["File", "PartitionedFile", "BtreeFile", "EntryPayload",
+           "IndexEntry", "index_buckets", "round_robin_placement"]
 
 #: Per-entry B-tree key/pointer overhead used in index size estimates.
 _ENTRY_OVERHEAD = 16
@@ -41,10 +43,97 @@ TARGET_KEY_FIELD = "target_key"
 TARGET_KIND_FIELD = "target_kind"
 INDEX_KEY_FIELD = "key"
 
+#: ``target_kind`` of a physical entry; logical entries omit the field.
+PHYSICAL_KIND = PointerKind.PHYSICAL.value
+
+_LOGICAL_FIELDS = (INDEX_KEY_FIELD, TARGET_PARTITION_FIELD, TARGET_KEY_FIELD)
+_PHYSICAL_FIELDS = _LOGICAL_FIELDS + (TARGET_KIND_FIELD,)
+
+#: ``estimate_size`` of an entry payload minus its three values: the
+#: per-field overhead, the field names and, when physical, the kind tag.
+_LOGICAL_FIXED_SIZE = (2 * len(_LOGICAL_FIELDS)
+                       + sum(len(name) for name in _LOGICAL_FIELDS))
+_PHYSICAL_FIXED_SIZE = (2 * len(_PHYSICAL_FIELDS)
+                        + sum(len(name) for name in _PHYSICAL_FIELDS)
+                        + estimate_size(PHYSICAL_KIND))
+#: ``estimate_size`` of a heap slot (an int)
+_SLOT_SIZE = estimate_size(0)
+
+KeyFn = Callable[[Record], Any]
+
+
+class EntryPayload(Mapping):
+    """The read-only payload of one index entry.
+
+    It reads exactly like the dict it stands for, ``{"key": ...,
+    "target_partition_key": ..., "target_key": ...}`` plus
+    ``"target_kind": "physical"`` on a physical entry: same keys in the
+    same order, ``get``/``in``/``len``/iteration, ``==`` with dicts both
+    ways, the dict's ``repr`` and ``estimate_size``.  It holds the
+    values in four slots instead of a hash table, and it cannot be
+    written.  ``target_kind`` is None on a logical entry, whose mapping
+    omits that field.  Hot readers use the attributes directly.
+    """
+
+    __slots__ = _PHYSICAL_FIELDS
+
+    key: Any
+    target_partition_key: Any
+    target_key: Any
+    target_kind: Optional[str]
+
+    def __new__(cls, key: Any, target_partition_key: Any, target_key: Any,
+                target_kind: Optional[str] = None) -> "EntryPayload":
+        self = object.__new__(cls)
+        _set_key(self, key)
+        _set_partition_key(self, target_partition_key)
+        _set_target_key(self, target_key)
+        _set_kind(self, target_kind)
+        return self
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise TypeError("index entry payloads are read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise TypeError("index entry payloads are read-only")
+
+    def __reduce__(self) -> tuple:
+        return (EntryPayload, (self.key, self.target_partition_key,
+                               self.target_key, self.target_kind))
+
+    def __contains__(self, name: object) -> bool:
+        return name in _LOGICAL_FIELDS or (name == TARGET_KIND_FIELD
+                                           and self.target_kind is not None)
+
+    def __getitem__(self, name: Any) -> Any:
+        if name in self:
+            return getattr(self, name)
+        raise KeyError(name)
+
+    def get(self, name: Any, default: Any = None) -> Any:
+        return getattr(self, name) if name in self else default
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_LOGICAL_FIELDS if self.target_kind is None
+                    else _PHYSICAL_FIELDS)
+
+    def __len__(self) -> int:
+        return 3 if self.target_kind is None else 4
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+# The slots' own setters: they bypass the read-only __setattr__.
+_set_key = EntryPayload.key.__set__
+_set_partition_key = EntryPayload.target_partition_key.__set__
+_set_target_key = EntryPayload.target_key.__set__
+_set_kind = EntryPayload.target_kind.__set__
+
 
 def IndexEntry(index_key: Any, target_partition_key: Any,
-               target_key: Any, kind: PointerKind = PointerKind.LOGICAL,
-               **extra: Any) -> Record:
+               target_key: Any,
+               kind: PointerKind = PointerKind.LOGICAL) -> Record:
     """Build an index-entry record pointing into a base file.
 
     Paper, Section III-B/Fig. 4: dereferencing a B-tree index yields records
@@ -52,21 +141,98 @@ def IndexEntry(index_key: Any, target_partition_key: Any,
     may equally be "physical (e.g., file offset)".  The convention used
     throughout this library is a mapping record with the index key, the base
     file's partition key (always logical — it routes through the
-    partitioner), the in-partition target (a record key, or a physical slot
-    for ``kind=PHYSICAL``), optionally widened with included columns
-    (covering-index style).
+    partitioner) and the in-partition target (a record key, or a physical
+    slot for ``kind=PHYSICAL``), held in a read-only :class:`EntryPayload`.
 
     Secondary indexes built by the DFS use **physical** targets so an entry
     resolves to exactly the record that produced it, even when the base
     file's logical key is non-unique (e.g. lineitem keyed by l_orderkey).
+    Bulk builds make theirs in :func:`index_buckets`; this is the one-off
+    path (single inserts, delta runs).
     """
-    data = {INDEX_KEY_FIELD: index_key,
-            TARGET_PARTITION_FIELD: target_partition_key,
-            TARGET_KEY_FIELD: target_key}
-    if kind is not PointerKind.LOGICAL:
-        data[TARGET_KIND_FIELD] = kind.value
-    data.update(extra)
-    return Record(data)
+    if kind is PointerKind.LOGICAL:
+        payload = EntryPayload(index_key, target_partition_key, target_key)
+        fixed = _LOGICAL_FIXED_SIZE
+    else:
+        payload = EntryPayload(index_key, target_partition_key, target_key,
+                               PHYSICAL_KIND)
+        fixed = _PHYSICAL_FIXED_SIZE
+    return Record(payload, fixed + estimate_size(index_key)
+                  + estimate_size(target_partition_key)
+                  + estimate_size(target_key))
+
+
+def index_buckets(base: "PartitionedFile", partition_key_fn: KeyFn,
+                  targets: Sequence[tuple["BtreeFile", KeyFn]]
+                  ) -> list[tuple[list[list[Record]], int]]:
+    """Derive the physical entries of every target index in one pass over
+    ``base``'s heap.
+
+    ``targets`` pairs an index with its key extraction (``record -> key``,
+    a list of keys, or None to skip the record).  Returns, per target,
+    its per-partition buckets of entries sorted by index key —
+    duplicates in base (partition, slot) order, the order a B-tree bulk
+    load keeps — and the bytes :attr:`BtreeFile.total_bytes` counts for
+    them.  Local entries colocate with the base record's partition,
+    global ones partition by the index key, replicated ones land in
+    every replica.
+
+    Each entry's size is summed from its parts, to exactly the
+    ``estimate_size`` of its payload: the field names once, the
+    partition key once per base record, the index key per entry.  All
+    entries of one base record share its slot int.
+    """
+    plans = []
+    for index, key_fn in targets:
+        buckets: list[list[Record]] = [
+            [] for __ in range(index.num_partitions)]
+        copies = len(buckets) if index.scope == "replicated" else 1
+        plans.append((key_fn, index.scope, index.partitioner.partition,
+                      buckets, copies))
+    totals = [0] * len(plans)
+    new_object, new_record = object.__new__, Record
+    for heap in base.partitions:
+        for slot, record in enumerate(heap.scan()):
+            target_size = -1  # partition key not read yet
+            for i, (key_fn, scope, route, buckets, copies) in enumerate(
+                    plans):
+                keys = key_fn(record)
+                if keys is None:
+                    continue  # schema-on-read: records missing the key
+                if not isinstance(keys, list):
+                    keys = [keys]
+                if target_size < 0:
+                    partition_key = partition_key_fn(record)
+                    target_size = (_PHYSICAL_FIXED_SIZE + _SLOT_SIZE
+                                   + estimate_size(partition_key))
+                if scope == "local":
+                    local_bucket = buckets[route(partition_key)]
+                for index_key in keys:
+                    # EntryPayload(...) inlined: its Python-level __new__
+                    # per entry would cost the build about 7 %.
+                    payload = new_object(EntryPayload)
+                    _set_key(payload, index_key)
+                    _set_partition_key(payload, partition_key)
+                    _set_target_key(payload, slot)
+                    _set_kind(payload, PHYSICAL_KIND)
+                    size = target_size + estimate_size(index_key)
+                    entry = new_record(payload, size)
+                    if scope == "global":
+                        buckets[route(index_key)].append(entry)
+                    elif scope == "local":
+                        local_bucket.append(entry)
+                    else:
+                        for bucket in buckets:
+                            bucket.append(entry)
+                    totals[i] += (size + _ENTRY_OVERHEAD) * copies
+    for plan in plans:
+        for bucket in plan[3]:
+            bucket.sort(key=entry_key)
+    return [(plan[3], total) for plan, total in zip(plans, totals)]
+
+
+#: the index key of an entry record
+entry_key = attrgetter("data.key")
 
 
 def round_robin_placement(num_partitions: int,
@@ -167,9 +333,17 @@ class PartitionedFile(File):
         """
         if key is None:
             key = partition_key
-        pid = self.partition_of_key(partition_key)
-        self.partitions[pid].append(record, key=key)
+        self.append(record, partition_key, key)
         return Pointer(self.name, partition_key, key, PointerKind.LOGICAL)
+
+    def append(self, record: Record, partition_key: Any,
+               key: Optional[Any] = None) -> int:
+        """Store a record in the partition owning ``partition_key``;
+        returns its slot there.  ``key`` defaults as in :meth:`insert`."""
+        if key is None:
+            key = partition_key
+        return self.partitions[self.partitioner.partition(
+            partition_key)].append(record, key=key)
 
     # -- reads -----------------------------------------------------------
 
@@ -327,24 +501,35 @@ class BtreeFile(File):
     def bulk_build(self, entries: Iterable[tuple[Any, Record, Any]],
                    fill: float = 0.9) -> None:
         """(Re)build all partitions from ``(index_key, entry,
-        partition_key)`` triples using sorted bulk loading."""
-        entries = list(entries)
-        buckets: list[list[tuple[Any, Record]]] = [
+        partition_key)`` triples, each ``entry`` an :func:`IndexEntry`
+        for ``index_key``: routes them into sorted buckets for
+        :meth:`load_entries`."""
+        buckets: list[list[Record]] = [
             [] for __ in range(self.num_partitions)]
-        for index_key, entry, partition_key in entries:
-            if self.scope == "replicated":
+        replicated = self.scope == "replicated"
+        copies = len(buckets) if replicated else 1
+        total = 0
+        for __, entry, partition_key in entries:
+            if replicated:
                 for bucket in buckets:
-                    bucket.append((index_key, entry))
-                continue
-            pid = self.partition_of_key(partition_key)
-            buckets[pid].append((index_key, entry))
+                    bucket.append(entry)
+            else:
+                buckets[self.partition_of_key(partition_key)].append(entry)
+            total += (entry.size_bytes + _ENTRY_OVERHEAD) * copies
+        for bucket in buckets:
+            bucket.sort(key=entry_key)
+        self.load_entries(buckets, total, fill)
+
+    def load_entries(self, buckets: Sequence[list[Record]],
+                     total_bytes: int, fill: float = 0.9) -> None:
+        """(Re)build every partition from its bucket of entries sorted by
+        index key; ``total_bytes`` is what they count towards
+        :attr:`total_bytes` (see :func:`index_buckets`)."""
         for pid, bucket in enumerate(buckets):
-            bucket.sort(key=lambda pair: pair[0])
-            self.trees[pid] = BPlusTree.bulk_load(bucket, order=self.order,
-                                                  fill=fill)
-        self._total_bytes = sum(entry.size_bytes + _ENTRY_OVERHEAD
-                                for bucket in buckets
-                                for __, entry in bucket)
+            self.trees[pid] = BPlusTree.bulk_load(
+                zip(map(entry_key, bucket), bucket), order=self.order,
+                fill=fill)
+        self._total_bytes = total_bytes
 
     def set_replica_nodes(self, nodes: Sequence[int]) -> list[int]:
         """Re-home a replicated index to one full copy per listed node.

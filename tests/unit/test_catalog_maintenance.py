@@ -138,6 +138,33 @@ class TestCatalogLifecycle:
         assert set(built) == {"idx_a", "idx_b"}
         assert catalog.pending() == []
 
+    def test_build_all_failure_leaves_finished_indexes_ready(self):
+        catalog = fresh_catalog()
+        catalog.register_file(
+            "others", [Record({"pk": i}) for i in range(10)],
+            lambda r: r["pk"])
+
+        def broken(record):
+            raise ValueError("bad key")
+
+        for name, base, key_fn in [("idx_pk", "items", lambda r: r["pk"]),
+                                   ("idx_bad", "others", broken),
+                                   ("idx_color", "items",
+                                    lambda r: r["color"])]:
+            catalog.register_access_method(AccessMethodDefinition(
+                name, base, key_fn=key_fn))
+        with pytest.raises(ValueError):
+            catalog.build_all()
+        for name in ("idx_pk", "idx_color"):
+            assert catalog.state(name) is StructureState.READY
+        assert catalog.build_log == ["idx_pk", "idx_color"]
+        assert catalog.pending() == ["idx_bad"]
+        assert "idx_bad" not in catalog.dfs
+        # the finished indexes are maintained by later inserts
+        __, writes = catalog.insert_record(
+            "items", Record({"pk": 99, "color": "red", "tags": []}))
+        assert writes == 2
+
     def test_inventory(self):
         catalog = fresh_catalog()
         catalog.register_access_method(AccessMethodDefinition(
