@@ -92,7 +92,8 @@ def make_skew_lake(hot_fanout):
             name, base, interpreter=INTERP, key_field=key,
             scope="global"))
     catalog.build_all()
-    store = BlockStore(num_nodes=NUM_NODES, block_size=64 * 1024)
+    store = BlockStore(num_nodes=NUM_NODES, block_size=64 * 1024,
+                       catalog=catalog)
     store.load("parent", parents)
     store.load("child", children)
     store.load("grand", grands)

@@ -34,7 +34,12 @@ Predicate = Callable[[Row], bool]
 
 @dataclass
 class ScanNode:
-    """Scan a block-store table, filter, and emit row dicts."""
+    """Scan a block-store table, filter, and emit row dicts.
+
+    On a catalog-bound store the table is a layout of the catalog's base
+    file, so the scan reads its live records: delta upserts and
+    appends, compactions and inserts included.
+    """
 
     table: str
     predicate: Optional[Predicate] = None
@@ -129,12 +134,16 @@ class ScanEngine:
         per_node_sizes: list[list[int]] = [[] for __ in range(cluster.num_nodes)]
         interpret_batch = node.interpreter.interpret_batch
         predicate = node.predicate
+        # One read of the table (and of a bound store's stamp) per scan.
+        blocks = self.store.blocks(node.table)
 
         def scan_on(node_id: int):
             sim_node = cluster.node(node_id)
             rows = per_node_rows[node_id]
             sizes = per_node_sizes[node_id]
-            for block in self.store.blocks_on_node(node.table, node_id):
+            for block in blocks:
+                if block.node_id != node_id:
+                    continue
                 records = block.records
                 metrics.bytes_scanned += block.nbytes
                 metrics.rows_scanned += len(records)

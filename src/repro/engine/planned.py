@@ -9,7 +9,10 @@ the winner:
   on a cluster engine (scan-backed stages ride inside the job as
   :class:`~repro.plan.scanstage.ScanLookupDereferencer` stages, so one
   execution interleaves sequential scans with index dereferences);
-* ``"scan"`` — hand the degenerate operator tree to the scan baseline.
+* ``"scan"`` — hand the degenerate operator tree to the scan baseline,
+  over ``store``, which must be bound to ``catalog`` (a
+  :class:`~repro.storage.blockstore.BlockStore` built with
+  ``catalog=catalog``) so the scan reads the lake's live records.
 
 ``force`` bypasses the decision (benchmarks measure all sides with it).
 

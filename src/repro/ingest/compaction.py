@@ -30,7 +30,7 @@ from typing import Optional
 from repro.cluster.cluster import Cluster
 from repro.core.catalog import StructureCatalog
 from repro.errors import NodeCrashed, ReproError
-from repro.ingest.delta import merge_runs
+from repro.ingest.delta import live_records, merge_runs
 from repro.storage.files import PartitionedFile
 from repro.storage.heapfile import HeapFile
 
@@ -264,26 +264,13 @@ class Compactor:
         runs = registry.runs(file_name)
         if not runs:
             return
-        for pid, heap in enumerate(base.partitions):
-            merged: list[tuple] = []
-            dead: set = set()
-            for run in runs:
-                dead |= run.upserts.get(pid, frozenset())
-            for record in heap.scan():
-                key = loader.key_fn(record)
-                if key in dead:
-                    continue
-                merged.append((record, key, None))
-            for i, run in enumerate(runs):
-                newer = runs[i + 1:]
-                for key, payload, (base_pid, base_key), tag in run.items(pid):
-                    if any(base_key in later.upserts.get(
-                            base_pid, frozenset()) for later in newer):
-                        continue
-                    merged.append((payload, key, tag))
-            fresh = HeapFile(name=heap.name)
-            for record, key, tag in merged:
-                slot = fresh.append(record, key=key)
+        merged: list[list[tuple]] = [[] for __ in base.partitions]
+        for pid, __, record, tag in live_records(base, runs, loader.key_fn):
+            merged[pid].append((record, tag))
+        for pid, records in enumerate(merged):
+            fresh = HeapFile(name=base.partitions[pid].name)
+            for record, tag in records:
+                slot = fresh.append(record, key=loader.key_fn(record))
                 if tag is not None:
                     # Queries in flight across this fold still hold index
                     # entries targeting the delta tag.

@@ -35,7 +35,9 @@ ingested batches every query path is bit-identical to a static lake.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Optional, Sequence, Union
+from itertools import count, repeat
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, \
+    Union
 
 from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
@@ -44,7 +46,7 @@ from repro.ingest.watermark import FreshnessWatermark
 
 __all__ = ["DeltaRun", "DeltaRegistry", "probe_delta_runs",
            "probe_delta_tag", "dead_base_keys", "tombstone_set",
-           "live_entries",
+           "live_entries", "superseded", "live_payloads", "live_records",
            "merge_runs", "delta_tag", "is_delta_tag",
            "index_placements"]
 
@@ -190,7 +192,7 @@ class DeltaRun:
 
 # -- newest-wins merge helpers (shared by engines and compaction) --------
 
-def dead_base_keys(runs: list[DeltaRun], pid: int) -> frozenset:
+def dead_base_keys(runs: Sequence[DeltaRun], pid: int) -> frozenset:
     """In-partition keys of base partition ``pid`` superseded by any run."""
     dead: set = set()
     for run in runs:
@@ -223,6 +225,56 @@ def live_entries(entries: Sequence[Record],
     return kept
 
 
+def superseded(origin: tuple[int, Any], newer: Sequence[DeltaRun]) -> bool:
+    """True when a run in ``newer`` upserted the base key ``origin``
+    names — the one newest-wins rule every delta reader applies."""
+    base_pid, base_key = origin
+    for later in newer:
+        keys = later.upserts.get(base_pid)
+        if keys is not None and base_key in keys:
+            return True
+    return False
+
+
+def live_payloads(runs: Sequence[DeltaRun]
+                  ) -> Iterator[tuple[int, Any, Record, tuple[int, Any], Any]]:
+    """Every payload of ``runs`` that no strictly newer run superseded,
+    as ``(pid, key, payload, origin, tag)``: oldest run first, partition
+    then key order within a run."""
+    for i, run in enumerate(runs):
+        newer = runs[i + 1:]
+        for pid in run.partitions():
+            for key, payload, origin, tag in run.items(pid):
+                if not superseded(origin, newer):
+                    yield pid, key, payload, origin, tag
+
+
+def live_records(base: Any, runs: Sequence[DeltaRun],
+                 key_fn: Optional[Callable[[Record], Any]]
+                 ) -> Iterator[tuple[int, Optional[int], Record, Any]]:
+    """What base file ``base`` holds right now, given its unmerged runs.
+
+    The one definition of a live base record: heap records minus the
+    victims of delta upserts, plus the live delta payloads, the newest
+    run winning.  Yields ``(pid, slot, record, tag)``: first every
+    surviving heap record in partition then slot order, with its heap
+    slot and no tag; then every live delta payload in
+    :func:`live_payloads` order, with no slot and its delta tag.
+    ``key_fn`` is the loader's in-partition key; it runs only on heap
+    records of partitions some run upserted, and may be None when
+    ``runs`` is empty.
+    """
+    for pid, heap in enumerate(base.partitions):
+        dead = dead_base_keys(runs, pid)
+        live: Iterator[tuple[int, Optional[int], Record, Any]] = zip(
+            repeat(pid), count(), heap.scan(), repeat(None))
+        if dead and key_fn is not None:
+            live = (item for item in live if key_fn(item[2]) not in dead)
+        yield from live
+    for pid, __, payload, __, tag in live_payloads(runs):
+        yield pid, None, payload, tag
+
+
 def probe_delta_runs(runs: list[DeltaRun], pid: int, target: Target
                      ) -> tuple[list[Record], int]:
     """Merge-probe the unmerged runs of one structure partition.
@@ -233,19 +285,18 @@ def probe_delta_runs(runs: list[DeltaRun], pid: int, target: Target
     run upserted their origin key.
     """
     additions: list[Record] = []
-    superseded = 0
+    dropped = 0
     for i, run in enumerate(runs):
         hits = run.probe(pid, target)
         if not hits:
             continue
         newer = runs[i + 1:]
-        for payload, (base_pid, base_key) in hits:
-            if any(base_key in later.upserts.get(base_pid, frozenset())
-                   for later in newer):
-                superseded += 1
+        for payload, origin in hits:
+            if superseded(origin, newer):
+                dropped += 1
                 continue
             additions.append(payload)
-    return additions, superseded
+    return additions, dropped
 
 
 def probe_delta_tag(runs: list[DeltaRun], pid: int, tag: Any
@@ -260,9 +311,8 @@ def probe_delta_tag(runs: list[DeltaRun], pid: int, tag: Any
         hit = run.tagged(pid, tag)
         if hit is None:
             continue
-        __, payload, (base_pid, base_key) = hit
-        if any(base_key in later.upserts.get(base_pid, frozenset())
-               for later in runs[i + 1:]):
+        __, payload, origin = hit
+        if superseded(origin, runs[i + 1:]):
             return [], 1
         return [payload], 0
     return [], 0
@@ -296,15 +346,9 @@ def merge_runs(runs: list[DeltaRun]) -> DeltaRun:
                    newest.batch_id, newest.commit_time)
     upserts: dict[int, set] = {}
     tombstones: dict[int, set] = {}
-    for i, run in enumerate(runs):
-        newer = runs[i + 1:]
-        for pid in run.partitions():
-            for key, payload, origin, tag in run.items(pid):
-                base_pid, base_key = origin
-                if any(base_key in later.upserts.get(base_pid, frozenset())
-                       for later in newer):
-                    continue
-                out.add(pid, key, payload, origin, tag=tag)
+    for pid, key, payload, origin, tag in live_payloads(runs):
+        out.add(pid, key, payload, origin, tag=tag)
+    for run in runs:
         for pid, keys in run.upserts.items():
             upserts.setdefault(pid, set()).update(keys)
         for pid, triples in run.tombstones.items():

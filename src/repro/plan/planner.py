@@ -35,7 +35,7 @@ from repro.core.interpreters import (
     Filter,
 )
 from repro.core.pointers import Pointer, PointerRange
-from repro.errors import ExecutionError, JobDefinitionError
+from repro.errors import CatalogError, ExecutionError, JobDefinitionError
 from repro.plan.logical import JoinNode, LogicalPlan, SourceNode
 from repro.plan.lowering import compile_logical, to_scan_plan
 from repro.plan.physical import ACCESS_INDEX, ACCESS_SCAN, PhysicalPlan
@@ -295,6 +295,11 @@ class StagePlanner:
     def __init__(self, catalog: "StructureCatalog", store: "BlockStore",
                  cluster_spec: ClusterSpec,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG) -> None:
+        if store.catalog is not catalog:
+            raise CatalogError(
+                "the planner's block store must be bound to its catalog "
+                "(BlockStore(..., catalog=catalog)); a store loaded on its "
+                "own answers from a copy ingest never updates")
         self.catalog = catalog
         self.store = store
         self.spec = cluster_spec
@@ -601,14 +606,6 @@ class StagePlanner:
             return True
         return self._has_loader(join.target)
 
-    def _touches_fresh_tables(self, logical: LogicalPlan) -> bool:
-        """True when any structure in the chain has unmerged delta runs."""
-        tables = [logical.source.structure, logical.source.base]
-        for join in logical.joins:
-            tables.append(join.target)
-            tables.append(join.via_index)
-        return any(self._delta_depth(table) for table in tables)
-
     def _has_loader(self, table: str) -> bool:
         try:
             self.catalog.dfs.loader_info(table)
@@ -636,11 +633,10 @@ class StagePlanner:
             scan_plan = to_scan_plan(logical, self.catalog)
         except JobDefinitionError:
             scan_plan = None
-        if scan_plan is not None and self._touches_fresh_tables(logical):
-            # Pure scan plans read base heaps only; with unmerged ingest
-            # deltas anywhere in the chain they would answer stale.
-            scan_plan = None
         if scan_plan is not None:
+            # The catalog-bound store lays each table out from its live
+            # view, so pure scan plans read (and are priced on) live rows
+            # while delta runs exist too.
             scan_estimate = estimate_scan_plan_seconds(self.spec,
                                                        self.store,
                                                        scan_plan)

@@ -18,10 +18,11 @@ The table answers every pointer shape an upstream stage can emit:
   payload that produced them.
 
 With a ``delta_source`` attached (the lowering wires one from the
-catalog), the build is *fresh*: heap records superseded by unmerged
-delta upserts are dropped (the scan-side tombstone filter) and live
-delta payloads are merged in with cross-run newest-wins — so the
-planner can price scans on fresh tables instead of gating them off.
+catalog), the build is *fresh*: it reads the file through
+:func:`repro.ingest.delta.live_records`, so heap records superseded by
+unmerged delta upserts are dropped and live delta payloads are merged
+in, the newest run winning — the planner prices scans on fresh tables
+instead of gating them off.
 The table is cached per (file, set of unmerged runs): a new committed
 run invalidates it, and the next probe rebuilds (and re-charges) it.
 
@@ -157,31 +158,16 @@ class ScanLookupDereferencer(Dereferencer):
         table = self._tables.get(token)
         if table is not None:
             return table
-        from repro.ingest.delta import dead_base_keys
+        from repro.ingest.delta import live_records
 
         table = {}
-        for pid in range(file.num_partitions):
-            dead = dead_base_keys(runs, pid) if runs else frozenset()
-            for slot, record in enumerate(file.scan_partition(pid)):
-                if (dead and base_key_fn is not None
-                        and base_key_fn(record) in dead):
-                    # Superseded by a delta upsert: the scan-side analogue
-                    # of the index tombstone filter.
-                    continue
-                for key in self.key_of(record):
-                    table.setdefault(key, []).append(record)
+        for pid, slot, record, tag in live_records(file, runs, base_key_fn):
+            for key in self.key_of(record):
+                table.setdefault(key, []).append(record)
+            if slot is not None:
                 table[(_SLOT, pid, slot)] = [record]
-        for i, run in enumerate(runs):
-            newer = runs[i + 1:]
-            for pid in run.partitions():
-                for __, payload, (bpid, bkey), tag in run.items(pid):
-                    if any(bkey in later.upserts.get(bpid, frozenset())
-                           for later in newer):
-                        continue  # newest wins across runs
-                    for key in self.key_of(payload):
-                        table.setdefault(key, []).append(payload)
-                    if tag is not None:
-                        table[tag] = [payload]
+            elif tag is not None:
+                table[tag] = [record]
         self._tables[token] = table
         return table
 

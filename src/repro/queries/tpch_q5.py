@@ -12,9 +12,12 @@ predicates."  The query::
       AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
       AND r_name = <REGION> AND o_orderdate BETWEEN <LO> AND <HI>
 
-:class:`TpchWorkload` prepares both storage layouts once (the DFS with
-local/global indexes for ReDe, the block store for the scan baseline) and
-produces the query in both dialects:
+:class:`TpchWorkload` loads one lake: the DFS with local/global indexes
+for ReDe, and over it a catalog-bound block store, the scan baseline's
+HDFS-like *layout* of the same base files (it re-lays a table out when
+ingest, compaction or an insert changes the file; see
+:mod:`repro.storage.blockstore`).  It produces the query in both
+dialects:
 
 * :meth:`TpchWorkload.q5_job` — the Reference-Dereference chain: probe the
   local ``o_orderdate`` index, fetch orders, fetch customers, check
@@ -68,7 +71,8 @@ _CANONICAL_FIELDS = ("c_custkey", "o_orderkey", "l_linenumber", "l_suppkey")
 
 
 class TpchWorkload:
-    """One generated TPC-H dataset, loaded into both storage substrates."""
+    """One generated TPC-H dataset: the catalog's files, and the block
+    layout the scan baseline reads them through."""
 
     def __init__(self, scale_factor: float = 0.005, seed: int = 0,
                  num_nodes: int = 8,
@@ -81,10 +85,16 @@ class TpchWorkload:
         self.catalog = StructureCatalog(self.dfs)
         self._load_rede()
 
+        # Catalog tables lay out over the catalog's own records; partsupp
+        # has no catalog file and is loaded as a plain block file.
         self.blockstore = BlockStore(num_nodes=num_nodes,
-                                     block_size=block_size)
+                                     block_size=block_size,
+                                     catalog=self.catalog)
         for name, rows in self.tables.items():
             self.blockstore.load(name, rows)
+        # Summed from the generated tables as loaded, before any mutation.
+        self._total_bytes = sum(self.blockstore.file_bytes(name)
+                                for name in self.tables)
 
     # -- ReDe-side layout (paper Section III-E) ---------------------------
 
@@ -141,9 +151,13 @@ class TpchWorkload:
 
     @property
     def total_bytes(self) -> int:
-        """Size of the whole generated dataset in the block store."""
-        return sum(self.blockstore.file_bytes(name)
-                   for name in self.blockstore.names())
+        """Size of the whole generated dataset, as generated.
+
+        It includes ``partsupp``, which the block store holds and the
+        catalog does not.  Fixed at load, so a mutated lake never
+        re-provisions the clusters :meth:`make_cluster` sizes from it.
+        """
+        return self._total_bytes
 
     def make_cluster(self, scan_seconds: float = 0.5, cache_bytes: int = 0,
                      cache_policy: str = "lru"):

@@ -68,7 +68,8 @@ def build_lake(ds):
         "idx_fk", "child", interpreter=INTERP, key_field="fk",
         scope="global"))
     catalog.build_all()
-    store = BlockStore(num_nodes=ds["num_nodes"], block_size=64 * 1024)
+    store = BlockStore(num_nodes=ds["num_nodes"], block_size=64 * 1024,
+                       catalog=catalog)
     store.load("parent", parents)
     store.load("child", children)
     return catalog, store

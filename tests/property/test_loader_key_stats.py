@@ -127,8 +127,8 @@ def test_count_is_exact_after_every_operation(num_records, duplicate_every,
         name="idx_v", base_file="t", interpreter=INTERP, key_field="v",
         scope="global"))
     catalog.ensure_built("idx_v")
-    store, spec = BlockStore(num_nodes=num_nodes), ClusterSpec(
-        num_nodes=num_nodes)
+    store = BlockStore(num_nodes=num_nodes, catalog=catalog)
+    spec = ClusterSpec(num_nodes=num_nodes)
     coordinator = IngestCoordinator(catalog)
     compactor = Compactor(catalog)
     assert_exact(catalog, store, spec, ["t"])

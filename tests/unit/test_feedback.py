@@ -59,7 +59,7 @@ def make_skew_lake():
         catalog.register_access_method(AccessMethodDefinition(
             name, base, interpreter=INTERP, key_field=key, scope="global"))
     catalog.build_all()
-    store = BlockStore(num_nodes=2, block_size=64 * 1024)
+    store = BlockStore(num_nodes=2, block_size=64 * 1024, catalog=catalog)
     store.load("parent", parents)
     store.load("child", children)
     store.load("grand", grands)
@@ -259,7 +259,8 @@ class TestPlanMemoization:
             "idx_grp", "facts", interpreter=INTERP, key_field="grp",
             scope="global"))
         catalog.build_all()
-        store = BlockStore(num_nodes=2, block_size=64 * 1024)
+        store = BlockStore(num_nodes=2, block_size=64 * 1024,
+                           catalog=catalog)
         store.load("facts", rows)
         return catalog, store
 

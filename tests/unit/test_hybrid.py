@@ -36,7 +36,7 @@ def setup():
     catalog.register_access_method(AccessMethodDefinition(
         "idx_v", "t", interpreter=INTERP, key_field="v", scope="global"))
     catalog.build_all()
-    store = BlockStore(num_nodes=NUM_NODES, block_size=4096)
+    store = BlockStore(num_nodes=NUM_NODES, block_size=4096, catalog=catalog)
     store.load("t", records)
     return catalog, store
 

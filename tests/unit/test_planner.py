@@ -278,7 +278,8 @@ class TestFreshTableScans:
             "idx_grp", "facts", interpreter=self.INTERP, key_field="grp",
             scope="global"))
         catalog.build_all()
-        store = BlockStore(num_nodes=2, block_size=64 * 1024)
+        store = BlockStore(num_nodes=2, block_size=64 * 1024,
+                           catalog=catalog)
         store.load("facts", rows)
         return catalog, store
 
@@ -313,13 +314,18 @@ class TestFreshTableScans:
         fresh = planner._scan_stage_seconds("facts", 10.0, 1.0)
         assert fresh > static
 
-    def test_pure_scan_plan_still_gated_on_fresh_tables(self):
+    def test_pure_scan_plan_reads_fresh_tables(self):
         catalog, store = self.make_lake()
         self.ingest(catalog)
         spec = ClusterSpec(num_nodes=2)
-        planner = StagePlanner(catalog, store, spec)
-        planned = planner.plan(self.make_logical())
-        assert planned.scan_estimate is None
+        planned = StagePlanner(catalog, store, spec).plan(
+            self.make_logical())
+        assert planned.scan_estimate is not None
+        result = PlanningExecutor(catalog, store, spec).execute(
+            self.make_logical(), force="scan")
+        assert sorted(row["pk"] for row in result.rows) == sorted(
+            [pk for pk in range(200) if pk % 5 == 2]
+            + [1000 + i for i in range(5)])
 
     def test_scan_backed_stage_answers_fresh(self):
         catalog, __ = self.make_lake()
