@@ -26,6 +26,7 @@ process start or finish — skip the heap and queue in a FIFO (see
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -175,19 +176,6 @@ class Process(Event):
             return
 
 
-class _ResourceRequest(Event):
-    """Pending acquisition of one slot of a :class:`Resource`."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        self.sim = resource.sim
-        self.callbacks = []
-        self._value = None
-        self._scheduled = False
-        self.resource = resource
-
-
 class Resource:
     """A counted-capacity resource with FIFO queueing.
 
@@ -204,7 +192,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: deque[_ResourceRequest] = deque()
+        self._waiters: deque[Event] = deque()
         # Peak concurrency observed, useful for parallelism metrics.
         self.max_in_use = 0
         # Integral of in_use over time, for utilization metrics.
@@ -235,10 +223,10 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when a slot has been granted."""
-        req = _ResourceRequest(self)
+        sim = self.sim
+        req = Event(sim)
         in_use = self.in_use
         if in_use < self.capacity:
-            sim = self.sim
             now = sim.now  # _account(), inlined here and in release()
             self.busy_integral += in_use * (now - self._last_change)
             self._last_change = now
@@ -395,14 +383,20 @@ class Simulator:
     * ``_immediate`` — events scheduled for the *current* instant, in
       scheduling order.
 
-    The loop fires the heap while its head is due (``time <= now``), then the
-    immediate queue, and only then advances the clock.  That is the same order
-    a single ``(time, sequence)`` heap yields: a heap entry due at ``now`` was
-    pushed at an earlier instant, so it was scheduled before anything the
-    current instant appended to ``_immediate``.
+    The loop fires the immediate queue first.  When it is empty the clock
+    advances to the heap's head, and *every* heap entry due at that new
+    instant moves into the immediate queue in ``(time, sequence)`` order:
+    the first fires, the rest wait at the queue's front.  That is the
+    order a single ``(time, sequence)`` heap yields, because a heap entry
+    due at the new instant was pushed at an earlier one, so it was
+    scheduled before anything the new instant appends to ``_immediate``
+    — and nothing can be pushed onto the heap for the current instant
+    (:class:`Timeout` queues a delay that does not move the clock as
+    immediate).
 
     :meth:`step` fires exactly one event and counts it in
-    ``events_processed``; :meth:`run` is a loop over it.
+    ``events_processed``; :meth:`run` is a loop over it that tests
+    ``max_time`` only when the clock would move.
     """
 
     def __init__(self) -> None:
@@ -442,13 +436,15 @@ class Simulator:
 
     def step(self) -> None:
         """Advance to and fire the single next event."""
-        heap = self._heap
-        if heap and heap[0][0] <= self.now:
-            event = heappop(heap)[2]
-        elif self._immediate:
-            event = self._immediate.popleft()
+        immediate = self._immediate
+        if immediate:
+            event = immediate.popleft()
         else:
-            self.now, _seq, event = heappop(heap)
+            heap = self._heap
+            now, _seq, event = heappop(heap)
+            self.now = now
+            while heap and heap[0][0] <= now:
+                immediate.append(heappop(heap)[2])
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:  # type: ignore[union-attr]
@@ -460,17 +456,26 @@ class Simulator:
         With ``until`` given, runs until that event fires and returns its
         value; raises :class:`SimulationDeadlock` if the queues drain first.
         Without ``until``, runs until nothing is scheduled.  ``max_time``
-        aborts runaway simulations.
+        aborts runaway simulations: no event past it fires.  Immediate
+        events are due at ``now``, so the limit is tested on entry and then
+        only when the clock would move.
         """
         if until is not None and until.callbacks is None:
             return until._value
         heap = self._heap
         immediate = self._immediate
         step = self.step
-        while heap or immediate:
-            if max_time is not None and (
-                    self.now if immediate else heap[0][0]) > max_time:
-                raise SimulationError(f"simulation exceeded max_time={max_time}")
+        if max_time is None:
+            max_time = math.inf
+        elif immediate and self.now > max_time:
+            raise SimulationError(f"simulation exceeded max_time={max_time}")
+        while True:
+            if not immediate:
+                if not heap:
+                    break
+                if heap[0][0] > max_time:
+                    raise SimulationError(
+                        f"simulation exceeded max_time={max_time}")
             step()
             if until is not None and until.callbacks is None:
                 return until._value

@@ -55,16 +55,6 @@ Context = Mapping[str, Any]
 #: downstream dereference inherits.
 Emission = tuple[Union[Pointer, PointerRange], Context]
 
-_EMPTY_CONTEXT: Context = {}
-
-
-def _extend_context(context: Context, additions: Mapping[str, Any]) -> Context:
-    """Context is copy-on-extend so parallel branches never share state;
-    callers skip the copy when they carry nothing."""
-    merged = dict(context)
-    merged.update(additions)
-    return merged
-
 
 class Referencer:
     """record → pointers.  Pure CPU; the engines run these inline by default
@@ -157,10 +147,9 @@ class IndexEntryReferencer(Referencer):
             kind = PointerKind(record.get(TARGET_KIND_FIELD,
                                           PointerKind.LOGICAL.value))
         if self.carry:
-            context = _extend_context(context, {
-                ctx_key: record.get(field)
-                for ctx_key, field in self.carry.items()})
-        yield Pointer(self.target_file, partition_key, key, kind), context
+            context = _carried(context, self.carry, record)
+        return ((Pointer(self.target_file, partition_key, key, kind),
+                 context),)
 
 
 class KeyReferencer(Referencer):
@@ -202,7 +191,7 @@ class KeyReferencer(Referencer):
         else:
             key = view.get(self.key_field)
         if key is None:
-            return  # schema-on-read: silently skip records without the key
+            return ()  # schema-on-read: silently skip records without the key
         if self.broadcast:
             partition_key = None
         elif self.partition_key_field is not None:
@@ -210,11 +199,9 @@ class KeyReferencer(Referencer):
         else:
             partition_key = key
         if self.carry:
-            context = _extend_context(context, {
-                ctx_key: view.get(field)
-                for ctx_key, field in self.carry.items()})
-        yield (Pointer(self.target_file, partition_key, key,
-                       PointerKind.LOGICAL), context)
+            context = _carried(context, self.carry, view)
+        return ((Pointer(self.target_file, partition_key, key,
+                         PointerKind.LOGICAL), context),)
 
 
 class FunctionReferencer(Referencer):
@@ -287,6 +274,18 @@ class FileLookupDereferencer(Dereferencer):
             raise ExecutionError(
                 "base-file dereferencer cannot take a pointer range")
         return file.lookup_in_partition(partition_id, target)
+
+
+def _carried(context: Context, carry: Mapping[str, str],
+             source: Any) -> Context:
+    """A copy of ``context`` extended with ``carry``'s fields of
+    ``source``.  Context is copy-on-extend so parallel branches never
+    share state; callers skip the copy when they carry nothing."""
+    merged = dict(context)
+    get = source.get
+    for ctx_key, field in carry.items():
+        merged[ctx_key] = get(field)
+    return merged
 
 
 def _normalize_carry(

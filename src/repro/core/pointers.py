@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Optional
 
 __all__ = ["PointerKind", "Pointer", "PointerRange"]
@@ -31,8 +32,7 @@ class PointerKind(enum.Enum):
     PHYSICAL = "physical"
 
 
-@dataclass(frozen=True)
-class Pointer:
+class Pointer(tuple):
     """A reference to record(s) inside a named file or index.
 
     Attributes:
@@ -42,17 +42,55 @@ class Pointer:
             partition.
         key: the in-partition key (logical) or slot (physical).
         kind: logical vs physical addressing.
+
+    Every referencer emission builds one, so a pointer is an immutable
+    ``tuple`` of its four fields with read-only properties over them:
+    under half a frozen dataclass's construction cost.  It keeps the
+    dataclass's semantics: it equals only other ``Pointer`` s (never a
+    plain tuple), hashes as the tuple of its fields, is unordered, and
+    rejects attribute writes.
     """
 
-    file: str
-    partition_key: Optional[Any]
-    key: Any
-    kind: PointerKind = PointerKind.LOGICAL
+    __slots__ = ()
+
+    file: str = property(itemgetter(0))  # type: ignore[assignment]
+    partition_key: Optional[Any] = property(  # type: ignore[assignment]
+        itemgetter(1))
+    key: Any = property(itemgetter(2))  # type: ignore[assignment]
+    kind: PointerKind = property(itemgetter(3))  # type: ignore[assignment]
+
+    def __new__(cls, file: str, partition_key: Optional[Any], key: Any,
+                kind: PointerKind = PointerKind.LOGICAL) -> "Pointer":
+        return _new_tuple(cls, (file, partition_key, key, kind))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pointer:
+            return _tuple_eq(self, other)
+        if isinstance(other, tuple):
+            return False
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is Pointer:
+            return _tuple_ne(self, other)
+        if isinstance(other, tuple):
+            return True
+        return NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other: object) -> bool:
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered  # type: ignore[assignment]
+
+    def __reduce__(self) -> tuple:
+        return (Pointer, tuple(self))
 
     @property
     def is_broadcast(self) -> bool:
         """True when the pointer carries no partition information."""
-        return self.partition_key is None
+        return self[1] is None
 
     def with_partition(self, partition_key: Any) -> "Pointer":
         """Return a copy bound to a concrete partition key.
@@ -60,12 +98,18 @@ class Pointer:
         Used when the engine materializes a broadcast pointer on each
         partition.
         """
-        return Pointer(self.file, partition_key, self.key, self.kind)
+        return _new_tuple(Pointer, (self[0], partition_key, self[2],
+                                    self[3]))
 
     def __repr__(self) -> str:
         target = "*" if self.is_broadcast else repr(self.partition_key)
         return (f"Pointer({self.file!r}, part={target}, key={self.key!r}, "
                 f"{self.kind.value})")
+
+
+_new_tuple = tuple.__new__
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
 
 
 @dataclass(frozen=True)

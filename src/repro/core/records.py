@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from typing import Any
 
+from repro.core.pointers import Pointer
+
 __all__ = ["Record", "estimate_size"]
 
 _SCALAR_SIZES = {int: 8, float: 8, bool: 1, type(None): 0}
@@ -49,6 +51,8 @@ def estimate_size(value: Any) -> int:
     if isinstance(value, Mapping):
         return sum(estimate_size(k) + estimate_size(v) + 2
                    for k, v in value.items())
+    if isinstance(value, Pointer):
+        return 16  # an opaque object, though a tuple underneath
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(estimate_size(item) for item in value) + 8
     return 16  # opaque object: a fixed nominal footprint

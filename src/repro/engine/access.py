@@ -43,6 +43,7 @@ structural pruning a range partitioner affords to range probes.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional,
                     Sequence, Union)
 
@@ -1023,8 +1024,7 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
     if page_lists is not None:
         # Page walks dedupe across the batch: each unique page consults
         # the pool once, in first-touch order.
-        unique = dict.fromkeys(
-            page for pages in page_lists for page in pages)
+        unique = dict.fromkeys(chain.from_iterable(page_lists))
         to_read = []
         for page in unique:
             if pool.lookup(page):

@@ -258,13 +258,12 @@ class PartitionedEngine:
                 frontier = next_frontier
                 stage += 1
                 continue
-            if not all(isinstance(payload, (Pointer, PointerRange))
-                       for payload, __ in frontier):
-                raise ExecutionError(
-                    f"stage {stage} expects pointers")
             file = self.catalog.resolve(function.file_name)
             groups = {}
             for payload, context in frontier:
+                if not isinstance(payload, (Pointer, PointerRange)):
+                    raise ExecutionError(
+                        f"stage {stage} expects pointers")
                 if payload.partition_key is None:
                     # No cross-node task shipping without SMPE: broadcast
                     # targets are probed from here, partition by partition.

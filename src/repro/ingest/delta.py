@@ -72,7 +72,8 @@ def delta_tag(batch_id: int, seq: int) -> tuple:
 
 
 def is_delta_tag(key: Any) -> bool:
-    return (isinstance(key, tuple) and len(key) == 3 and key[0] == _TAG)
+    return (isinstance(key, tuple) and not isinstance(key, Pointer)
+            and len(key) == 3 and key[0] == _TAG)
 
 
 class DeltaRun:

@@ -61,6 +61,10 @@ _SLOT_SIZE = estimate_size(0)
 
 KeyFn = Callable[[Record], Any]
 
+#: builds a :class:`PageId` from a 4-tuple without the namedtuple's
+#: Python-level ``__new__`` (the page walks make one per page touched)
+_new_page_id = tuple.__new__
+
 
 class EntryPayload(Mapping):
     """The read-only payload of one index entry.
@@ -383,16 +387,17 @@ class PartitionedFile(File):
         """
         pid = self.partitioner.validate(partition_id)
         heap = self.partitions[pid]
+        key = pointer.key
         if pointer.kind is PointerKind.PHYSICAL:
-            slots = [pointer.key] if 0 <= pointer.key < len(heap) else []
+            pages = ([heap.page_of_slot(key, page_size)]
+                     if 0 <= key < len(heap) else [])
         else:
-            slots = heap.slots_for_key(pointer.key)
-        if slots:
-            pages = sorted({heap.page_of_slot(slot, page_size)
-                            for slot in slots})
-        else:
-            pages = [stable_hash(pointer.key) % heap.num_pages(page_size)]
-        return [PageId(self.name, pid, "heap", page) for page in pages]
+            pages = heap.pages_for_key(key, page_size)
+        if not pages:
+            pages = [stable_hash(key) % heap.num_pages(page_size)]
+        name = self.name
+        return [_new_page_id(PageId, (name, pid, "heap", page))
+                for page in pages]
 
     def partition_page_ids(self, partition_id: int,
                            page_size: int) -> list[PageId]:
@@ -619,9 +624,11 @@ class BtreeFile(File):
                 inclusive_high=target.inclusive_high)
         else:
             interior, leaves = tree.point_traversal_pages(target.key)
-        return ([PageId(self.name, pid, "interior", page)
+        name = self.name
+        return ([_new_page_id(PageId, (name, pid, "interior", page))
                  for page in interior]
-                + [PageId(self.name, pid, "leaf", page) for page in leaves])
+                + [_new_page_id(PageId, (name, pid, "leaf", page))
+                   for page in leaves])
 
     def partition_page_ids(self, partition_id: int,
                            page_size: int = 0) -> list[PageId]:

@@ -82,6 +82,19 @@ class HeapFile:
         """Physical slots stored under an in-partition key."""
         return list(self._key_map.get(key, []))
 
+    def pages_for_key(self, key: Any, page_size: int) -> list[int]:
+        """Sorted distinct pages holding an in-partition key's slots
+        (empty for an absent key).  Read straight off the key map: its
+        slots were range-checked on the way in (:meth:`append` creates
+        them, :meth:`alias` checks them), so no per-slot check here."""
+        slots = self._key_map.get(key)
+        if not slots:
+            return []
+        offsets = self._offsets
+        if len(slots) == 1:
+            return [offsets[slots[0]] // page_size]
+        return sorted({offsets[slot] // page_size for slot in slots})
+
     def page_of_slot(self, slot: int, page_size: int) -> int:
         """Page number holding ``slot``, under an append-only byte layout
         (records packed in slot order, ``page_size``-byte pages)."""

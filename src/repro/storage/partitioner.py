@@ -15,6 +15,7 @@ import bisect
 import functools
 from typing import Any, Sequence
 
+from repro.core.pointers import Pointer
 from repro.errors import PartitionError
 
 __all__ = ["Partitioner", "HashPartitioner", "RangePartitioner", "stable_hash"]
@@ -42,6 +43,8 @@ def _canonical_bytes(key: Any) -> bytes:
         return b"s" + key.encode("utf-8")
     if isinstance(key, bytes):
         return b"y" + key
+    if isinstance(key, Pointer):
+        return b"r" + repr(key).encode("utf-8")  # opaque, not a tuple key
     if isinstance(key, tuple):
         parts = b"".join(_canonical_bytes(item) + b"\x00" for item in key)
         return b"t" + parts

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.simulation import Simulator, all_of
-from repro.errors import SimulationError
+from repro.errors import SimulationDeadlock, SimulationError
 
 delays = st.floats(min_value=0.0, max_value=10.0, allow_nan=False,
                    allow_infinity=False)
@@ -274,13 +274,22 @@ class _RefSimulator:
             event.add_callback(lambda ev, i=i: settle(i, ev))
         return result
 
-    def run(self):
+    def run(self, until=None, max_time=None):
+        if until is not None and until.callbacks is None:
+            return until.value
         while self.heap:
+            if max_time is not None and self.heap[0][0] > max_time:
+                raise SimulationError(f"exceeded max_time={max_time}")
             self.now, __, event = heapq.heappop(self.heap)
             self.events_processed += 1
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)
+            if until is not None and until.callbacks is None:
+                return until.value
+        if until is not None:
+            raise SimulationDeadlock("drained before the awaited event")
+        return None
 
 
 #: 0 and 1e-20 (sub-ulp once the clock has left 0) are the delays that take
@@ -305,9 +314,16 @@ programs = st.lists(st.lists(program_ops, max_size=8), min_size=1,
                     max_size=6)
 
 
-def _run_program(sim, program):
+def _run_program(sim, program, segments=()):
     """Interpret ``program`` (one op list per process) on ``sim``; return
-    the firing log and the kernel's own event count."""
+    the firing log and the kernel's own event count.
+
+    ``segments`` drive the run as ``(awaited, headroom)`` calls of
+    ``run(until=..., max_time=now + headroom)`` before the final
+    unbounded ``run()``; ``awaited`` indexes the processes, then the
+    gates (None runs until the queues drain), and a None headroom sets
+    no limit.  Each segment logs how it ended, at which clock and after
+    how many events."""
     log = []
     resources = [sim.resource(1), sim.resource(2)]
     stores = [sim.store(), sim.store()]
@@ -363,14 +379,37 @@ def _run_program(sim, program):
 
     for pid, ops in enumerate(program):
         processes.append(sim.process(body(pid, ops)))
+    awaitable = processes + gates
+    for awaited, headroom in segments:
+        until = None if awaited is None else awaitable[
+            awaited % len(awaitable)]
+        max_time = None if headroom is None else sim.now + headroom
+        try:
+            ending = ("returned", sim.run(until=until, max_time=max_time))
+        except SimulationError as exc:  # SimulationDeadlock included
+            ending = (type(exc).__name__,)
+        log.append(("segment", ending, sim.now, sim.events_processed))
     sim.run()
     return log, sim.events_processed
 
 
-@settings(max_examples=300, deadline=None)
-@given(programs)
-def test_kernel_fires_in_heap_only_time_sequence_order(program):
-    log, events = _run_program(Simulator(), program)
-    ref_log, ref_events = _run_program(_RefSimulator(), program)
+#: ``max_time`` headroom over the clock at a segment's start; a negative
+#: one puts the limit behind the clock, which must stop even the events
+#: already queued for ``now``
+headrooms = st.one_of(st.none(), st.sampled_from([-0.5, 0.0, 0.0, 0.25,
+                                                  0.5, 1.0, 2.0]))
+segment_lists = st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 7)),
+                                   headrooms), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(programs, segment_lists)
+def test_kernel_fires_in_heap_only_time_sequence_order(program, segments):
+    """Driven by ``run()`` alone or by ``run(until=..., max_time=...)``
+    in segments, the same events fire in the same order, and every
+    segment returns, deadlocks or exceeds ``max_time`` at the same clock
+    after the same number of events."""
+    log, events = _run_program(Simulator(), program, segments)
+    ref_log, ref_events = _run_program(_RefSimulator(), program, segments)
     assert log == ref_log
     assert events == ref_events

@@ -351,21 +351,31 @@ def test_run_max_time_rejects_immediate_events_past_the_limit():
 
 
 def test_zero_timeout_fires_after_pending_same_instant_heap_entries():
+    """Two heap entries share an instant and the first one's callback
+    schedules immediate events: both heap entries fire first, one
+    ``step`` per event."""
     sim = Simulator()
     order = []
     first, second = sim.timeout(1.0), sim.timeout(1.0)
 
     def on_first(event):
         order.append("first")
-        # ``second`` is still in the heap, due at this very instant.
+        # ``second`` is still due at this very instant.
         sim.timeout(0).add_callback(lambda ev: order.append("zero"))
         sim.timeout(1e-20).add_callback(lambda ev: order.append("sub-ulp"))
+        granted = sim.event()
+        granted.add_callback(lambda ev: order.append("succeeded"))
+        granted.succeed()
 
     first.add_callback(on_first)
     second.add_callback(lambda ev: order.append("second"))
+    sim.step()
+    assert order == ["first"] and sim.now == 1.0
+    sim.step()
+    assert order == ["first", "second"]
     sim.run()
-    assert order == ["first", "second", "zero", "sub-ulp"]
-    assert sim.now == 1.0
+    assert order == ["first", "second", "zero", "sub-ulp", "succeeded"]
+    assert sim.now == 1.0 and sim.events_processed == 5
 
 
 def test_run_until_returns_with_immediate_events_still_queued():
