@@ -113,7 +113,6 @@ class EngineConfig:
             Referencers by default to avoid excessive context switching").
         thread_switch_time: CPU cost of dispatching work to a pool thread;
             what inlining referencers avoids paying.
-        pointer_bytes: wire size of a pointer for remote messaging.
         max_sim_time: guard rail for runaway simulations (simulated seconds).
         trace: record a :class:`~repro.engine.trace.TraceEvent` per
             dereference IO (virtual timeline analysis; off by default).
@@ -124,9 +123,6 @@ class EngineConfig:
             in the job's :class:`~repro.engine.metrics.FailureReport`.
         max_retries: retry budget per dereference invocation (transient
             faults and timeouts; node-crash re-routing is not counted).
-        retry_backoff_base: first retry delay in simulated seconds; doubles
-            per attempt (capped exponential backoff).
-        retry_backoff_cap: upper bound on one backoff delay.
         dereference_timeout: per-invocation timeout in simulated seconds;
             a dereference exceeding it is abandoned and treated as a
             transient fault (straggler mitigation).  0 disables timeouts.
@@ -135,27 +131,26 @@ class EngineConfig:
             construction.  0 (the default) leaves nodes uncached unless
             their :class:`~repro.cluster.node.NodeSpec` says otherwise.
         cache_policy: eviction policy for engine-provisioned pools.
-        cache_hit_time: RAM service time charged for a buffer-pool hit
-            (kept non-zero so a fully-cached dereference still yields).
-        batch_size: records/pointers dispatched per dereference batch,
-            and the one switch that picks the access funnel's charging
-            kernel.  1 (the default) charges every probe on its own —
-            the paper's per-dereference thread, bit-identical to the
-            pre-batching engines.  Larger values make the cluster
-            engines group same-(file, partition) targets and charge
-            each group through the batch kernel (page walks
-            deduplicated, one network round trip per remote owner per
-            batch, delta runs read once per batch) — even a group of
-            one.  The reference executor ignores it: batching is a cost
-            model, and the oracle charges no time.
-        batch_linger: simulated seconds a partially-filled batch buffer
-            may wait for more same-stage inputs before flushing on an
-            idle tick.  0 (the default) flushes the moment the stage
+        batch_size: most records/pointers one dereference dispatch
+            carries, and the one switch that picks the access funnel's
+            charging kernel.  Both cluster engines group same-(file,
+            partition) targets and chunk each group by this size; the
+            schedule itself does not depend on it.  1 (the default)
+            charges every probe on its own — the paper's per-dereference
+            thread.  Larger values charge each group through the batch
+            kernel (page walks deduplicated, one network round trip per
+            remote owner per batch, delta runs read once per batch) —
+            even a group of one.  The reference executor ignores it:
+            batching is a cost model, and the oracle charges no time.
+        batch_linger: simulated seconds a partially-filled SMPE batch
+            buffer may wait for more same-stage inputs before flushing on
+            an idle tick.  0 (the default) flushes the moment the stage
             queue runs dry — the pre-linger behaviour.  A small linger
             lets bursty stages accumulate fuller batches (higher
             ``batch_fill``) at the cost of added dispatch latency;
-            results are identical either way, and the knob is inert at
-            ``batch_size=1`` (nothing ever buffers).
+            results are identical either way.  The knob is inert at
+            ``batch_size=1``, where every buffer flushes on its first
+            input, and in the partitioned engine, which never buffers.
         feedback: optional runtime-feedback sink.  When set, the access
             funnel reports each dereference's post-filter record count
             via ``feedback.observe(stage, count)`` as it completes — the
@@ -167,17 +162,13 @@ class EngineConfig:
     thread_pool_size: int = 1000
     inline_referencers: bool = True
     thread_switch_time: float = 5e-6
-    pointer_bytes: int = 64
     max_sim_time: float = 1e7
     trace: bool = False
     on_error: str = "fail"
     max_retries: int = 3
-    retry_backoff_base: float = 0.002
-    retry_backoff_cap: float = 0.05
     dereference_timeout: float = 0.0
     cache_bytes: int = 0
     cache_policy: str = "lru"
-    cache_hit_time: float = 25e-6
     batch_size: int = 1
     batch_linger: float = 0.0
     feedback: Optional[Any] = field(default=None, repr=False, compare=False)
@@ -188,8 +179,6 @@ class EngineConfig:
                 f"on_error must be fail|retry|skip, got {self.on_error!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_base < 0 or self.retry_backoff_cap < 0:
-            raise ValueError("retry backoff times must be >= 0")
         if self.dereference_timeout < 0:
             raise ValueError("dereference_timeout must be >= 0")
         if self.cache_bytes < 0:
@@ -198,8 +187,6 @@ class EngineConfig:
             raise ValueError(
                 f"cache_policy must be one of {CACHE_POLICIES}, "
                 f"got {self.cache_policy!r}")
-        if self.cache_hit_time < 0:
-            raise ValueError("cache_hit_time must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.batch_linger < 0:

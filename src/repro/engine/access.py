@@ -63,7 +63,7 @@ from repro.errors import (DereferenceTimeout, ExecutionError, FaultError,
                           NodeCrashed, ReproError, StructureCorruptionError,
                           TransientIOError)
 from repro.plan.scanstage import ScanLookupDereferencer
-from repro.storage.cache import PageId, page_checksum
+from repro.storage.cache import CACHE_HIT_TIME, PageId, page_checksum
 from repro.storage.files import (BtreeFile, File, PartitionedFile,
                                  entry_key, index_buckets)
 from repro.storage.partitioner import RangePartitioner
@@ -75,6 +75,13 @@ __all__ = ["resolve_partitions", "initial_probe_pids",
            "simulated_dereference", "recovering_dereference",
            "count_only_dereference", "batched_dereference",
            "classify_failure", "stamp_watermark", "stamp_epoch"]
+
+#: wire size (bytes) of one pointer shipped to a remote owner
+POINTER_BYTES = 64
+#: first retry delay (simulated seconds); doubles per attempt up to the cap
+RETRY_BACKOFF_BASE = 0.002
+#: upper bound on one backoff delay (simulated seconds)
+RETRY_BACKOFF_CAP = 0.05
 
 Target = Union[Pointer, PointerRange]
 #: one funnel work item: (target, carried context)
@@ -237,8 +244,7 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
             if pool.lookup(page):
                 hits += 1
                 metrics.cache_hits += 1
-                if config.cache_hit_time > 0:
-                    yield sim.timeout(config.cache_hit_time)
+                yield sim.timeout(CACHE_HIT_TIME)
             else:
                 misses += 1
                 metrics.cache_misses += 1
@@ -265,9 +271,9 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
                     raise _corruption_error(file, page)
 
     if owner != executing_node:
-        metrics.count_remote(config.pointer_bytes + fetched_bytes)
+        metrics.count_remote(POINTER_BYTES + fetched_bytes)
         yield from cluster.network.request_response(
-            executing_node, owner, config.pointer_bytes, fetched_bytes)
+            executing_node, owner, POINTER_BYTES, fetched_bytes)
 
     if records:
         yield from cluster.nodes[executing_node].process_tuples(
@@ -460,8 +466,7 @@ def _timed_dereference(cluster: Cluster, config: EngineConfig,
     return payload
 
 
-def _backoff_delay(cluster: Cluster, config: EngineConfig, exec_node: int,
-                   attempt: int) -> float:
+def _backoff_delay(cluster: Cluster, exec_node: int, attempt: int) -> float:
     """Simulated seconds to wait before retry number ``attempt + 1``.
 
     Capped exponential backoff drawn with *full jitter* — uniform on
@@ -471,9 +476,8 @@ def _backoff_delay(cluster: Cluster, config: EngineConfig, exec_node: int,
     synchronized storm that re-saturates the disk the fault came from.
     Seeded, so runs replay byte-for-byte.
     """
-    delay = min(config.retry_backoff_cap,
-                config.retry_backoff_base * (2.0 ** attempt))
-    if delay > 0 and cluster.faults is not None:
+    delay = min(RETRY_BACKOFF_CAP, RETRY_BACKOFF_BASE * (2.0 ** attempt))
+    if cluster.faults is not None:
         delay *= cluster.faults.retry_jitter(exec_node, attempt)
     return delay
 
@@ -870,7 +874,7 @@ def recovering_dereference(cluster: Cluster, config: EngineConfig,
                         f"{partition_id} on node {exec_node} failed "
                         f"after {attempt} "
                         f"retr{'ies' if attempt != 1 else 'y'}") from exc
-                delay = _backoff_delay(cluster, config, exec_node, attempt)
+                delay = _backoff_delay(cluster, exec_node, attempt)
                 attempt += 1
                 metrics.retries += 1
                 _trace_fault(cluster, metrics, stage, exec_node,
@@ -969,7 +973,7 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
 #   (``probe_io_count(total)``); a heap batch pays the pages the combined
 #   record bytes span;
 # * **one network round trip per batch per remote owner**: request bytes
-#   are ``pointer_bytes * len(batch)``, response bytes the combined
+#   are ``POINTER_BYTES * len(batch)``, response bytes the combined
 #   records;
 # * **CPU charged per batch, sliver per record**: one ``process_tuples``
 #   call over the combined record count;
@@ -1034,8 +1038,8 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
                 misses += 1
                 metrics.cache_misses += 1
                 to_read.append(page)
-        if hits and config.cache_hit_time > 0:
-            yield cluster.sim.timeout(hits * config.cache_hit_time)
+        if hits:
+            yield cluster.sim.timeout(hits * CACHE_HIT_TIME)
         if misses:
             yield from owner_disk.random_read_batch(misses)
             # only reads that completed populate the cache
@@ -1068,7 +1072,7 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
     if owner != executing_node:
         response_bytes = sum(r.size_bytes for records in fetched
                              for r in records)
-        request_bytes = config.pointer_bytes * len(probes)
+        request_bytes = POINTER_BYTES * len(probes)
         metrics.count_remote(request_bytes + response_bytes)
         yield from cluster.network.request_response(
             executing_node, owner, request_bytes, response_bytes)

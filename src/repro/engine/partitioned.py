@@ -2,10 +2,12 @@
 
 Figure 7's middle line: "ReDe (w/o SMPE) simply used the created structures
 and the partitioned parallelism given from data partitions".  Concretely:
-one worker per node walks the Reference-Dereference chain depth-first and
-*sequentially* — every dereference completes before the next begins — so
-the only parallelism is the one-worker-per-node horizontal kind that
-conventional data-lake engines already have.  Same structures, same IO
+one worker per node walks the Reference-Dereference chain stage by stage
+and *sequentially* — every dereference completes before the next begins —
+so the only parallelism is the one-worker-per-node horizontal kind that
+conventional data-lake engines already have.  Each stage groups the
+node's frontier by partition and dereferences up to
+``EngineConfig.batch_size`` probes per call.  Same structures, same IO
 charges, same answers; the contrast with :class:`~repro.engine.smpe.
 SmpeEngine` isolates the contribution of dynamic fine-grained parallelism.
 
@@ -18,7 +20,7 @@ job or is dropped into the :class:`~repro.engine.metrics.FailureReport`.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Union
+from typing import Optional
 
 from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_ENGINE_CONFIG, EngineConfig
@@ -53,19 +55,16 @@ class PartitionedEngine:
         metrics = ExecutionMetrics()
         stamp_watermark(metrics, self.catalog)
         stamp_epoch(metrics, self.cluster)
-        self._limit = limit
-        self._recovery: dict = {}
         if self.config.trace:
             metrics.trace = []
         results: list[OutputRow] = []
         failures = FailureReport()
-
-        worker = (self._node_worker_batched if self.config.batch_size > 1
-                  else self._node_worker)
+        recovery: dict = {}
 
         def job_process():
             workers = [self.cluster.launch(
-                worker(job, metrics, failures, results, node_id),
+                self._node_worker(job, metrics, failures, recovery,
+                                  results, limit, node_id),
                 name=f"part-node{node_id}")
                 for node_id in range(self.cluster.num_nodes)]
             yield self.cluster.sim.all_of(workers)
@@ -107,13 +106,10 @@ class PartitionedEngine:
             ) / self.cluster.num_nodes
         return JobResult(results, metrics, failure_report=failures)
 
-    def _limit_reached(self, results: list[OutputRow]) -> bool:
-        limit = getattr(self, "_limit", None)
-        return limit is not None and len(results) >= limit
 
     def _deref(self, metrics: ExecutionMetrics, failures: FailureReport,
-               stage: int, function: Dereferencer, file, probes, pid: int,
-               node_id: int):
+               recovery: dict, stage: int, function: Dereferencer, file,
+               probes, pid: int, node_id: int):
         """One policy-governed dereference of ``probes`` (``(target,
         context)`` pairs) against ``pid``; returns one record list per
         probe.  The call is the failure unit: under ``on_error='skip'``
@@ -123,8 +119,7 @@ class PartitionedEngine:
             outputs = yield from recovering_dereference(
                 self.cluster, self.config, metrics, stage, function, file,
                 probes, pid, node_id, catalog=self.catalog,
-                failures=failures,
-                runtime=getattr(self, "_recovery", None))
+                failures=failures, runtime=recovery)
         except Exception as exc:
             kind = classify_failure(exc)
             if self.config.on_error == "skip":
@@ -143,102 +138,25 @@ class PartitionedEngine:
         return outputs
 
     def _node_worker(self, job: Job, metrics: ExecutionMetrics,
-                     failures: FailureReport, results: list[OutputRow],
+                     failures: FailureReport, recovery: dict,
+                     results: list[OutputRow], limit: Optional[int],
                      node_id: int):
-        """One sequential pass over this node's share of the job inputs."""
-        dereferencer = job.functions[0]
-        assert isinstance(dereferencer, Dereferencer)
-        file = self.catalog.resolve(dereferencer.file_name)
-        for target in job.inputs:
-            if self._limit_reached(results):
-                return
-            pids = initial_probe_pids(file, target, node_id)
-            for pid in pids:
-                (records,) = yield from self._deref(
-                    metrics, failures, 0, dereferencer, file,
-                    [(target, {})], pid, node_id)
-                for record in records:
-                    yield from self._chain(job, metrics, failures, results,
-                                           node_id, 1, record, {})
+        """One breadth-first pass over this node's share of the job.
 
-    def _chain(self, job: Job, metrics: ExecutionMetrics,
-               failures: FailureReport, results: list[OutputRow],
-               node_id: int, stage: int,
-               payload: Union[Record, Pointer, PointerRange],
-               context: Mapping[str, Any]):
-        """Depth-first, strictly sequential continuation of one item."""
-        if self._limit_reached(results):
-            return
-        function = job.function_at(stage)
-        if function is None:
-            if isinstance(payload, Record):
-                results.append(OutputRow(payload, context))
-            return
-
-        if isinstance(function, Referencer):
-            if not isinstance(payload, Record):
-                raise ExecutionError(
-                    f"stage {stage} expects records, got "
-                    f"{type(payload).__name__}")
-            metrics.count_invocation(stage)
-            for pointer, new_context in function.reference(payload, context):
-                yield from self._chain(job, metrics, failures, results,
-                                       node_id, stage + 1, pointer,
-                                       new_context)
-            return
-
-        if not isinstance(payload, (Pointer, PointerRange)):
-            raise ExecutionError(
-                f"stage {stage} expects pointers, got "
-                f"{type(payload).__name__}")
-        file = self.catalog.resolve(function.file_name)
-        if payload.partition_key is None:
-            # Without SMPE there is no cross-node task shipping: a broadcast
-            # target is probed from here, partition by partition.
-            pids = list(range(file.num_partitions))
-        else:
-            pids = resolve_partitions(file, payload)
-        for pid in pids:
-            (records,) = yield from self._deref(
-                metrics, failures, stage, function, file,
-                [(payload, context)], pid, node_id)
-            for record in records:
-                yield from self._chain(job, metrics, failures, results,
-                                       node_id, stage + 1, record, context)
-
-    # -- batched mode (batch_size > 1) -----------------------------------
-
-    def _node_worker_batched(self, job: Job, metrics: ExecutionMetrics,
-                             failures: FailureReport,
-                             results: list[OutputRow], node_id: int):
-        """Breadth-first batched pass over this node's share of the job.
-
-        Same stage semantics as the depth-first worker — dereferences
-        still run one after another on this node (no SMPE) — but each
-        dereference carries up to ``batch_size`` same-partition targets,
-        so the per-batch charging rules apply."""
+        The job inputs are stage 0's frontier.  A dereferencer stage
+        groups its frontier by partition and runs the groups one after
+        another, up to ``batch_size`` probes per call (no SMPE: one
+        dereference at a time on this node); a referencer stage maps the
+        frontier; past the last stage the frontier is this node's
+        output."""
         batch_size = self.config.batch_size
-        dereferencer = job.functions[0]
-        assert isinstance(dereferencer, Dereferencer)
-        file = self.catalog.resolve(dereferencer.file_name)
-        groups: dict[int, list] = {}
-        for target in job.inputs:
-            for pid in initial_probe_pids(file, target, node_id):
-                groups.setdefault(pid, []).append((target, {}))
-        frontier: list = []
-        for pid, probes in groups.items():
-            if self._limit_reached(results):
-                return
-            for i in range(0, len(probes), batch_size):
-                chunk = probes[i:i + batch_size]
-                outputs = yield from self._deref(
-                    metrics, failures, 0, dereferencer, file, chunk, pid,
-                    node_id)
-                for (__, context), records in zip(chunk, outputs):
-                    frontier.extend((record, context) for record in records)
 
-        stage = 1
-        while frontier and not self._limit_reached(results):
+        def limit_reached() -> bool:
+            return limit is not None and len(results) >= limit
+
+        frontier: list = [(target, {}) for target in job.inputs]
+        stage = 0
+        while frontier and not limit_reached():
             function = job.function_at(stage)
             if function is None:
                 results.extend(OutputRow(payload, context)
@@ -259,12 +177,15 @@ class PartitionedEngine:
                 stage += 1
                 continue
             file = self.catalog.resolve(function.file_name)
-            groups = {}
+            groups: dict[int, list] = {}
             for payload, context in frontier:
-                if not isinstance(payload, (Pointer, PointerRange)):
+                if stage == 0:
+                    pids = initial_probe_pids(file, payload, node_id)
+                elif not isinstance(payload, (Pointer, PointerRange)):
                     raise ExecutionError(
-                        f"stage {stage} expects pointers")
-                if payload.partition_key is None:
+                        f"stage {stage} expects pointers, got "
+                        f"{type(payload).__name__}")
+                elif payload.partition_key is None:
                     # No cross-node task shipping without SMPE: broadcast
                     # targets are probed from here, partition by partition.
                     pids = list(range(file.num_partitions))
@@ -274,13 +195,13 @@ class PartitionedEngine:
                     groups.setdefault(pid, []).append((payload, context))
             frontier = []
             for pid, probes in groups.items():
-                if self._limit_reached(results):
+                if limit_reached():
                     return
                 for i in range(0, len(probes), batch_size):
                     chunk = probes[i:i + batch_size]
                     outputs = yield from self._deref(
-                        metrics, failures, stage, function, file, chunk,
-                        pid, node_id)
+                        metrics, failures, recovery, stage, function, file,
+                        chunk, pid, node_id)
                     for (__, context), records in zip(chunk, outputs):
                         frontier.extend((record, context)
                                         for record in records)

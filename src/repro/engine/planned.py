@@ -76,8 +76,7 @@ class PlanningExecutor:
         self.cluster_spec = cluster_spec
         self.config = config
         self.adaptive_threshold = adaptive_threshold
-        self.planner = StagePlanner(catalog, store, cluster_spec,
-                                    config=config)
+        self.planner = StagePlanner(catalog, store, cluster_spec)
         #: estimated record accesses per initial index match across the
         #: whole chain; None prices one access per dereference stage
         #: until :meth:`calibrate` measures it

@@ -22,7 +22,7 @@ Pseudocode                      Here
                                 dequeue loop, broadcast handling
                                 (lines 28-33), null-func handling (36-38,
                                 reinterpreted as result collection), and
-                                per-input thread dispatch (39-40)
+                                per-dispatch threads (39-40)
 ``EXECUTEFUNC`` (43-52)         :meth:`SmpeEngine._execute_dereferencer` /
                                 :meth:`SmpeEngine._execute_referencer` —
                                 run the function, push emitted outputs to
@@ -413,37 +413,27 @@ class SmpeEngine:
 
         A broadcast input (no partition key) is served by every node
         against its local partitions; a keyed input only by the partition
-        owner.  Each touched partition gets its own pool thread, so even
-        stage 0 is parallel within a node.
+        owner.  Targets group by partition, and every ``batch_size``
+        chunk of a group gets its own pool thread, so even stage 0 is
+        parallel within a node.
         """
         job = state.job
         dereferencer = job.functions[0]
         assert isinstance(dereferencer, Dereferencer)
         file = self.catalog.resolve(dereferencer.file_name)
-        probes: list[tuple[Any, int]] = []
+        groups: dict[int, list[Any]] = {}
         for target in job.inputs:                        # line 22 GETINPUT
-            pids = initial_probe_pids(file, target, node_id)
-            probes.extend((target, pid) for pid in pids)
+            for pid in initial_probe_pids(file, target, node_id):
+                groups.setdefault(pid, []).append(target)
 
         procs = []
         batch_size = self.config.batch_size
-        if batch_size > 1:
-            # Batched mode: same-partition targets share one dispatch.
-            groups: dict[int, list[Any]] = {}
-            for target, pid in probes:
-                groups.setdefault(pid, []).append(target)
-            for pid, targets in groups.items():
-                for i in range(0, len(targets), batch_size):
-                    chunk = targets[i:i + batch_size]
-                    state.tracker.inc(len(chunk))
-                    procs.append(self.cluster.launch(
-                        self._initial_probe(state, node_id, chunk, pid),
-                        name=f"deref0@{node_id}"))
-        else:
-            for target, pid in probes:
-                state.tracker.inc()  # one in-flight unit per probe
+        for pid, targets in groups.items():
+            for i in range(0, len(targets), batch_size):
+                chunk = targets[i:i + batch_size]
+                state.tracker.inc(len(chunk))  # in-flight units
                 procs.append(self.cluster.launch(
-                    self._initial_probe(state, node_id, [target], pid),
+                    self._initial_probe(state, node_id, chunk, pid),
                     name=f"deref0@{node_id}"))
         if procs:
             yield self.cluster.sim.all_of(procs)
@@ -486,15 +476,16 @@ class SmpeEngine:
         num_stages = len(functions)
         sim = self.cluster.sim
         batch_size = self.config.batch_size
-        linger = self.config.batch_linger if batch_size > 1 else 0.0
-        # Batched mode: dereferencer inputs buffer per stage and flush as
-        # one dispatch when full — or as a partial batch the moment the
-        # queue runs dry, so a buffered item never waits on a blocked
-        # ``get()`` (the buffer holds task-tracker counts; parking them
-        # behind a blocking dequeue would deadlock job completion).
-        # With ``batch_linger`` set, a dry queue instead races the next
-        # dequeue against an idle-tick timeout: more input within the
-        # linger window keeps filling the buffers; the tick flushes them.
+        linger = self.config.batch_linger
+        # Dereferencer inputs buffer per stage and flush as one dispatch
+        # when ``batch_size`` are in — at 1, the moment each arrives — or
+        # as a partial batch the moment the queue runs dry, so a buffered
+        # item never waits on a blocked ``get()`` (the buffer holds
+        # task-tracker counts; parking them behind a blocking dequeue
+        # would deadlock job completion).  With ``batch_linger`` set, a
+        # dry queue instead races the next dequeue against an idle-tick
+        # timeout: more input within the linger window keeps filling the
+        # buffers; the tick flushes them.
         buffers: dict[int, list[_StageInput]] = {}
 
         def flush(stage: Optional[int] = None) -> None:
@@ -505,7 +496,7 @@ class SmpeEngine:
                     self.cluster.launch(
                         self._execute_dereferencer(
                             state, node_id, functions[s], items),
-                        name=f"deref-batch@{node_id}")
+                        name=f"deref@{node_id}")
 
         while True:                                      # line 26
             if buffers and len(queue) == 0:
@@ -578,18 +569,13 @@ class SmpeEngine:
                         self._execute_referencer(state, node_id, function,
                                                  item),
                         name=f"ref@{node_id}")
-            elif batch_size > 1:
+            else:
+                # Line 39: "create if func is Dereferencer" — every
+                # dispatch gets its own pooled thread.
                 buffer = buffers.setdefault(item.stage, [])
                 buffer.append(item)
                 if len(buffer) >= batch_size:
                     flush(item.stage)
-            else:
-                # Line 39: "create if func is Dereferencer" — every
-                # dereference invocation gets its own pooled thread.
-                self.cluster.launch(
-                    self._execute_dereferencer(state, node_id, function,
-                                               [item]),
-                    name=f"deref@{node_id}")
 
     # -- function execution (EXECUTEFUNC, lines 43-52) -------------------
 
@@ -634,8 +620,8 @@ class SmpeEngine:
     def _execute_dereferencer(self, state: "_RunState", node_id: int,
                               function: Dereferencer,
                               items: list[_StageInput]):
-        """One pooled thread serving one dispatched input, or a whole
-        buffered batch.
+        """One pooled thread serving one buffered dispatch (a single
+        input at ``batch_size=1``).
 
         Targets resolve to partitions per item, then group by partition;
         each group is one funnel call, and each group is its own failure

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from repro.baselines.scan_engine import HashJoinNode, PlanNode, ScanNode
 from repro.cluster.cluster import ClusterSpec
-from repro.config import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.core.functions import Dereferencer
 from repro.core.interpreters import (
     ContextMatchFilter,
@@ -39,6 +38,7 @@ from repro.errors import CatalogError, ExecutionError, JobDefinitionError
 from repro.plan.logical import JoinNode, LogicalPlan, SourceNode
 from repro.plan.lowering import compile_logical, to_scan_plan
 from repro.plan.physical import ACCESS_INDEX, ACCESS_SCAN, PhysicalPlan
+from repro.storage.cache import CACHE_HIT_TIME
 from repro.storage.files import BtreeFile, PartitionedFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,9 +156,7 @@ def working_set_bytes(catalog: "StructureCatalog", job: "Job") -> int:
 
 def estimate_indexed_job_seconds(
         spec: ClusterSpec, catalog: "StructureCatalog", job: "Job",
-        per_match_access_factor: Optional[float] = None,
-        cache_hit_time: float = DEFAULT_ENGINE_CONFIG.cache_hit_time
-) -> float:
+        per_match_access_factor: Optional[float] = None) -> float:
     """floor (chain latency) + throughput term (accesses over IOPS).
 
     With buffer pools provisioned (``spec.node.cache_bytes > 0``) the
@@ -182,7 +180,7 @@ def estimate_indexed_job_seconds(
     misses = accesses * (1.0 - hit_rate)
     hits = accesses - misses
     return (latency_floor + misses / total_iops
-            + hits * cache_hit_time / spec.num_nodes)
+            + hits * CACHE_HIT_TIME / spec.num_nodes)
 
 
 def estimate_scan_plan_seconds(spec: ClusterSpec, store: "BlockStore",
@@ -293,8 +291,7 @@ class StagePlanner:
     """
 
     def __init__(self, catalog: "StructureCatalog", store: "BlockStore",
-                 cluster_spec: ClusterSpec,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG) -> None:
+                 cluster_spec: ClusterSpec) -> None:
         if store.catalog is not catalog:
             raise CatalogError(
                 "the planner's block store must be bound to its catalog "
@@ -303,7 +300,6 @@ class StagePlanner:
         self.catalog = catalog
         self.store = store
         self.spec = cluster_spec
-        self.config = config
         self._distinct_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[tuple, float] = {}
         self._stats_version: Optional[int] = None
@@ -424,7 +420,7 @@ class StagePlanner:
         misses = ios * (1.0 - hit_rate)
         hits = ios - misses
         return (misses / self._total_iops,
-                hits * self.config.cache_hit_time / self.spec.num_nodes)
+                hits * CACHE_HIT_TIME / self.spec.num_nodes)
 
     def _tuple_seconds(self, tuples: float) -> float:
         node = self.spec.node
@@ -625,8 +621,7 @@ class StagePlanner:
         index_job = all_index.to_job(self.catalog)
         cardinality = initial_cardinality(self.catalog, index_job.inputs)
         index_estimate = estimate_indexed_job_seconds(
-            self.spec, self.catalog, index_job, per_match_access_factor,
-            cache_hit_time=self.config.cache_hit_time)
+            self.spec, self.catalog, index_job, per_match_access_factor)
         scan_plan: Optional[PlanNode] = None
         scan_estimate: Optional[float] = None
         try:

@@ -37,10 +37,14 @@ from typing import Iterable, NamedTuple, Optional
 from repro.errors import StorageError
 
 __all__ = ["PageId", "page_checksum", "CacheStats", "BufferPool",
-           "CACHE_POLICIES"]
+           "CACHE_POLICIES", "CACHE_HIT_TIME"]
 
 #: Recognised eviction policies, in documentation order.
 CACHE_POLICIES = ("lru", "clock", "2q")
+
+#: RAM service time (simulated seconds) the engines charge per buffer-pool
+#: hit — non-zero, so a fully cached dereference still yields.
+CACHE_HIT_TIME = 25e-6
 
 #: Fraction of the byte budget the 2Q policy reserves for its probationary
 #: FIFO (the 2Q paper's ``Kin``); one-shot pages live and die here.

@@ -3,9 +3,10 @@
 "Each stage has an input queue and an output queue, and the output queue
 of one stage is the input queue of the next stage" — under SMPE, stage
 N+1 starts consuming long before stage N finishes producing.  These tests
-verify that pipeline overlap from recorded trace events, and its absence
-is NOT asserted for partitioned execution (a depth-first walk also
-interleaves stages, just serially).
+verify that pipeline overlap from recorded trace events.  Partitioned
+execution is only checked to run serially per node (at most one
+dereference in flight); its breadth-first stage order is pinned in
+``tests/property/test_batch_equivalence.py``.
 """
 
 import pytest

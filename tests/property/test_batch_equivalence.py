@@ -15,7 +15,10 @@ size, so IO accounting is exempt there — the answer is not).  A third
 kills a node at a generated simulated time mid-job: batched and
 per-record execution must re-route to survivors, return exactly the
 fault-free reference rows, and reconcile their observed crash counters
-with the injector's ground truth.
+with the injector's ground truth.  A fourth pins the partitioned
+engine's schedule: ``batch_size`` only sizes its dispatches, so every
+node visits the same ``(stage, partition)`` runs in the same order at
+every batch size.
 """
 
 from hypothesis import given, settings
@@ -190,3 +193,40 @@ def test_batching_survives_timed_node_crash(ds, victim_draw, at_tick):
             assert result.complete, label
             injected = cluster.faults.stats.get("node-crash", 0)
             assert result.metrics.node_crashes == injected, label
+
+
+def node_schedules(result, num_nodes):
+    """Per node: its trace's ``(stage, partition)`` pairs in order, with
+    consecutive repeats collapsed."""
+    schedules = []
+    for node in range(num_nodes):
+        runs = []
+        for event in result.metrics.trace:
+            step = (event.stage, event.partition)
+            if event.node == node and (not runs or runs[-1] != step):
+                runs.append(step)
+        schedules.append(runs)
+    return schedules
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenarios)
+def test_partitioned_schedule_is_independent_of_batch_size(ds):
+    """Fault-free, the partitioned engine walks each node's stages
+    breadth-first at every batch size: a batch of one and a batch of
+    1024 visit the same partitions of the same stages in the same
+    order, and only the number of calls per visit differs."""
+    catalog = build_lake(ds)
+    job = build_job(ds)
+
+    def schedule(batch_size):
+        cluster = Cluster(ClusterSpec(num_nodes=ds["num_nodes"]))
+        result = ReDeExecutor(
+            cluster, catalog,
+            config=EngineConfig(batch_size=batch_size, trace=True),
+            mode="partitioned").execute(job)
+        return node_schedules(result, ds["num_nodes"])
+
+    base = schedule(1)
+    for batch_size in BATCH_SIZES:
+        assert schedule(batch_size) == base, batch_size
