@@ -42,7 +42,7 @@ from repro.core import (
 )
 from repro.engine import ReDeExecutor
 from repro.queries import TpchWorkload
-from repro.storage import DistributedFileSystem
+from repro.storage import CACHE_POLICIES, DistributedFileSystem
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -61,7 +61,6 @@ CLAIMS_PER_DISEASE = 40
 NUM_HOT = 10 if QUICK else 30
 #: per-node pool: comfortably holds the hot set, ~7% of the dataset
 POLICY_CACHE_BYTES = 40 * 8192
-POLICIES = ("lru", "clock", "2q")
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +206,7 @@ def run_policy(catalog, policy):
 
 
 def run_policies(catalog):
-    return {policy: run_policy(catalog, policy) for policy in POLICIES}
+    return {policy: run_policy(catalog, policy) for policy in CACHE_POLICIES}
 
 
 def test_scan_resistance(benchmark, show, save_result, claims_catalog):
@@ -224,8 +223,8 @@ def test_scan_resistance(benchmark, show, save_result, claims_catalog):
                       m["hits"], m["misses"], f"{m['hit_rate']:.1%}")
     table.add_note("2Q admits scanned pages into a probation FIFO only, "
                    "so the scan churns probation while the promoted hot "
-                   "set survives in the protected segment; LRU and CLOCK "
-                   "let the scan flush everything")
+                   "set survives in the protected segment; LRU lets the "
+                   "scan flush everything")
     show(table)
     if not QUICK:
         save_result("ext_cache_policies", table)

@@ -27,6 +27,7 @@ from repro.queries import (
     canonical_q5_rows_rede,
     canonical_q5_rows_scan,
 )
+from repro.storage.cache import CACHE_POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -47,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig7.add_argument("--cache-mb", type=float, default=0.0,
                       help="per-node buffer-pool size in MiB for the ReDe "
                            "engines (default 0 = uncached)")
-    fig7.add_argument("--cache-policy", choices=("lru", "clock", "2q"),
+    fig7.add_argument("--cache-policy", choices=CACHE_POLICIES,
                       default="lru",
                       help="buffer-pool eviction policy (default lru)")
     fig7.add_argument("--batch-size", type=int, default=1,
@@ -205,12 +206,8 @@ def _run_demo_inline() -> int:
     """The quickstart flow, inlined so the CLI works without examples/."""
     from repro.core import (
         AccessMethodDefinition,
-        FileLookupDereferencer,
-        IndexEntryReferencer,
-        IndexRangeDereferencer,
-        JobBuilder,
+        ChainQuery,
         MappingInterpreter,
-        PointerRange,
         Record,
         StructureCatalog,
     )
@@ -227,11 +224,8 @@ def _run_demo_inline() -> int:
         name="idx_severity", base_file="events",
         interpreter=MappingInterpreter(), key_field="severity",
         scope="global"))
-    job = (JobBuilder("severe")
-           .dereference(IndexRangeDereferencer("idx_severity"))
-           .reference(IndexEntryReferencer("events"))
-           .dereference(FileLookupDereferencer("events"))
-           .input(PointerRange("idx_severity", 98, 99))
+    job = (ChainQuery("severe")
+           .from_index_range("idx_severity", 98, 99, base="events")
            .build())
     executor = ReDeExecutor(Cluster(laptop_cluster_spec(4)), catalog,
                             mode="smpe")

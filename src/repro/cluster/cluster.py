@@ -52,9 +52,6 @@ class Cluster:
         #: every membership-aware code path a strict no-op
         self.topology: Optional[Any] = None
         self._crash_listeners: list[Callable[[int], None]] = []
-        #: remembered ``provision_caches`` arguments so nodes joining later
-        #: come up with the same pool the incumbents got
-        self._cache_provisioning: Optional[tuple[int, str]] = None
         if fault_plan is not None:
             self.inject_faults(fault_plan)
 
@@ -90,12 +87,11 @@ class Cluster:
     def add_node(self) -> Node:
         """Grow the cluster by one node (contiguous id); returns it.
 
-        The joiner gets the shared :class:`NodeSpec`, its own NIC, fresh
-        fault-injection RNG streams (so pre-join draws are unchanged), and
-        — if the incumbents were cache-provisioned after construction —
-        the same buffer-pool parameters.  Placement is *not* touched here:
-        data moves only when a :class:`~repro.cluster.topology.
-        TopologyController` rebalances onto the new member.
+        The joiner gets the shared :class:`NodeSpec` (and so the same
+        buffer-pool parameters), its own NIC and fresh fault-injection RNG
+        streams (so pre-join draws are unchanged).  Placement is *not*
+        touched here: data moves only when a :class:`~repro.cluster.
+        topology.TopologyController` rebalances onto the new member.
         """
         node = Node(self.sim, self.spec.node, node_id=len(self.nodes))
         self.nodes.append(node)
@@ -103,8 +99,6 @@ class Cluster:
         if self.faults is not None:
             node.disk.faults = self.faults
             self.faults.add_node()
-        if self._cache_provisioning is not None:
-            node.provision_cache(*self._cache_provisioning)
         return node
 
     def alive(self, node_id: int) -> bool:
@@ -164,12 +158,6 @@ class Cluster:
         result = self.run_until(done, max_time=max_time)
         return result, self.sim.now - start
 
-    def remote_fetch(self, src: int, dst: int, request_bytes: int,
-                     response_bytes: int) -> Generator:
-        """Process helper: round-trip fetch between two nodes (free if local)."""
-        yield from self.network.request_response(src, dst, request_bytes,
-                                                 response_bytes)
-
     def total_random_reads(self) -> int:
         return sum(node.disk.random_reads for node in self.nodes)
 
@@ -177,13 +165,6 @@ class Cluster:
         return sum(node.disk.bytes_scanned for node in self.nodes)
 
     # -- buffer pools ----------------------------------------------------
-
-    def provision_caches(self, cache_bytes: int,
-                         policy: str = "lru") -> None:
-        """Attach a buffer pool to every node that does not have one yet."""
-        self._cache_provisioning = (cache_bytes, policy)
-        for node in self.nodes:
-            node.provision_cache(cache_bytes, policy)
 
     def cache_stats(self) -> CacheStats:
         """Aggregate buffer-pool statistics across all nodes (alive or

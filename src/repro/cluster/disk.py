@@ -183,11 +183,6 @@ class Disk:
         """Highest number of random reads ever in flight at once."""
         return self._spindles.max_in_use
 
-    def spindle_utilization(self, start: float, end: float) -> float:
-        """Mean fraction of spindles busy over ``[start, end]`` — how close
-        the workload came to the array's IOPS capacity."""
-        return self._spindles.utilization(start, end)
-
     def spindle_busy_snapshot(self) -> float:
         """Busy integral up to now (for windowed utilization deltas)."""
         return self._spindles.busy_snapshot()

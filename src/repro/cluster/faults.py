@@ -423,7 +423,3 @@ class FaultInjector:
         """True while any un-repaired corruption spec is active."""
         return any(spec.rate > 0.0 and spec.file not in self._repaired
                    for spec in self.plan.page_corruptions)
-
-    @property
-    def has_crashes(self) -> bool:
-        return bool(self.plan.node_crashes or self.plan.rebalance_crashes)

@@ -29,7 +29,7 @@ class NodeSpec:
         disk: the node's data-disk array specification.
         cache_bytes: RAM byte budget for the node's buffer pool; 0 (the
             default) disables caching and preserves the classic cost model.
-        cache_policy: eviction policy for the pool ("lru", "clock", "2q").
+        cache_policy: eviction policy for the pool ("lru" or "2q").
     """
 
     cores: int = 16
@@ -73,16 +73,6 @@ class Node:
             self.buffer_pool = BufferPool(
                 spec.cache_bytes, policy=spec.cache_policy,
                 name=f"node{node_id}.cache")
-
-    def provision_cache(self, cache_bytes: int, policy: str = "lru") -> None:
-        """Attach a buffer pool after construction (engine-level override).
-
-        Does nothing if a pool is already attached — spec-level provisioning
-        wins, and a warm pool survives across jobs on the same cluster.
-        """
-        if self.buffer_pool is None and cache_bytes > 0:
-            self.buffer_pool = BufferPool(
-                cache_bytes, policy=policy, name=f"node{self.node_id}.cache")
 
     def drop_cache(self) -> int:
         """Discard every cached page (crash semantics: RAM contents are

@@ -404,14 +404,6 @@ class TopologyController:
                                            max_time=max_time)
         return elapsed
 
-    def effective_nodes(self) -> int:
-        """Serving capacity for the planner: active nodes, minus one
-        node's worth of disk/network while movement is in flight."""
-        active = len(self.active_nodes())
-        if self.rebalancer.active:
-            return max(1, active - 1)
-        return active
-
     # -- convergence --------------------------------------------------------
 
     def _on_converged(self) -> None:

@@ -22,7 +22,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.disk import DiskSpec
 from repro.cluster.network import NetworkSpec
 from repro.cluster.node import NodeSpec
-from repro.storage.cache import CACHE_POLICIES
 
 __all__ = [
     "paper_cluster_spec",
@@ -126,11 +125,6 @@ class EngineConfig:
         dereference_timeout: per-invocation timeout in simulated seconds;
             a dereference exceeding it is abandoned and treated as a
             transient fault (straggler mitigation).  0 disables timeouts.
-        cache_bytes: engine-level buffer-pool provisioning — every node
-            without a pool gets one of this many bytes at executor
-            construction.  0 (the default) leaves nodes uncached unless
-            their :class:`~repro.cluster.node.NodeSpec` says otherwise.
-        cache_policy: eviction policy for engine-provisioned pools.
         batch_size: most records/pointers one dereference dispatch
             carries, and the one switch that picks the access funnel's
             charging kernel.  Both cluster engines group same-(file,
@@ -167,8 +161,6 @@ class EngineConfig:
     on_error: str = "fail"
     max_retries: int = 3
     dereference_timeout: float = 0.0
-    cache_bytes: int = 0
-    cache_policy: str = "lru"
     batch_size: int = 1
     batch_linger: float = 0.0
     feedback: Optional[Any] = field(default=None, repr=False, compare=False)
@@ -181,12 +173,6 @@ class EngineConfig:
             raise ValueError("max_retries must be >= 0")
         if self.dereference_timeout < 0:
             raise ValueError("dereference_timeout must be >= 0")
-        if self.cache_bytes < 0:
-            raise ValueError("cache_bytes must be >= 0")
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"cache_policy must be one of {CACHE_POLICIES}, "
-                f"got {self.cache_policy!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.batch_linger < 0:

@@ -287,16 +287,44 @@ def simulated_dereference(cluster: Cluster, config: EngineConfig,
     return dereferencer.apply_filter(records, context)
 
 
+def _charge_scan_build(cluster: Cluster,
+                       share: Callable[[int], tuple[int, int]],
+                       name: str) -> Iterator:
+    """Charge a table built by a parallel scan, one process per node.
+
+    Each node reads its ``share(node_id) == (bytes, rows)`` sequentially,
+    spends one core's build CPU on the rows and ships its share of the
+    table to peers — the cost shape of a grace hash join's build side.
+    Returns once every node is done.
+    """
+    def build_on(node_id: int):
+        serving = cluster.serving_node(node_id)
+        node = cluster.node(serving)
+        nbytes, rows = share(node_id)
+        if nbytes:
+            yield from node.disk.sequential_read(nbytes)
+        if rows:
+            yield from node.process_tuples(rows)
+        if cluster.num_nodes > 1 and nbytes:
+            shipped = int(nbytes * (cluster.num_nodes - 1)
+                          / cluster.num_nodes)
+            if shipped:
+                yield from cluster.network.transfer(
+                    serving, (serving + 1) % cluster.num_nodes, shipped)
+
+    procs = [cluster.launch(build_on(n), name=f"{name}@{n}")
+             for n in range(cluster.num_nodes)]
+    yield cluster.sim.all_of(procs)
+
+
 def _scan_stage_build(cluster: Cluster, metrics: ExecutionMetrics,
                       dereferencer: ScanLookupDereferencer,
                       file: File) -> Iterator:
     """Materialize a scan-backed stage's replicated hash table, once.
 
     The first probe pays for it: every node scans its local partitions
-    sequentially (in parallel), spends one core's build CPU, and ships
-    its share of the table to peers — the cost shape of a grace hash
-    join's build side.  Concurrent probes wait on the build event;
-    later probes see ``ready`` and pay nothing.
+    (:func:`_charge_scan_build`).  Concurrent probes wait on the build
+    event; later probes see ``ready`` and pay nothing.
 
     On a fresh table (unmerged ingest delta runs), each node also reads
     its share of the delta bytes and spends build CPU on the delta rows;
@@ -324,33 +352,18 @@ def _scan_stage_build(cluster: Cluster, metrics: ExecutionMetrics,
     event = cluster.sim.event()
     state["event"] = event
 
-    def build_on(node_id: int):
-        serving = cluster.serving_node(node_id)
-        node = cluster.node(serving)
+    def share(node_id: int) -> tuple[int, int]:
         nbytes = rows = 0
         pids = file.partitions_on_node(node_id)
         for pid in pids:
             nbytes += file.partition_bytes(pid)
             rows += sum(1 for __ in file.scan_partition(pid))
         delta_bytes, delta_rows = dereferencer.delta_bytes_on(file, pids)
-        nbytes += delta_bytes
-        rows += delta_rows
-        if nbytes:
-            yield from node.disk.sequential_read(nbytes)
-        if rows:
-            yield from node.process_tuples(rows)
-        if cluster.num_nodes > 1 and nbytes:
-            shipped = int(nbytes * (cluster.num_nodes - 1)
-                          / cluster.num_nodes)
-            if shipped:
-                yield from cluster.network.transfer(
-                    serving, (serving + 1) % cluster.num_nodes, shipped)
+        return nbytes + delta_bytes, rows + delta_rows
 
     all_pids = list(range(file.num_partitions))
     delta_total, __ = dereferencer.delta_bytes_on(file, all_pids)
-    procs = [cluster.launch(build_on(n), name=f"scan-stage@{n}")
-             for n in range(cluster.num_nodes)]
-    yield cluster.sim.all_of(procs)
+    yield from _charge_scan_build(cluster, share, "scan-stage")
     dereferencer.table_for(file)
     metrics.scan_stage_builds += 1
     metrics.scan_stage_bytes += file.total_bytes + delta_total
@@ -525,27 +538,14 @@ class _ScanRecoveryTable:
         self._event = cluster.sim.event()
         base = self.base
 
-        def build_on(node_id: int):
-            serving = cluster.serving_node(node_id)
-            node = cluster.node(serving)
+        def share(node_id: int) -> tuple[int, int]:
             nbytes = rows = 0
             for pid in base.partitions_on_node(node_id):
                 nbytes += base.partition_bytes(pid)
                 rows += len(base.partitions[pid])
-            if nbytes:
-                yield from node.disk.sequential_read(nbytes)
-            if rows:
-                yield from node.process_tuples(rows)
-            if cluster.num_nodes > 1 and nbytes:
-                shipped = int(nbytes * (cluster.num_nodes - 1)
-                              / cluster.num_nodes)
-                if shipped:
-                    yield from cluster.network.transfer(
-                        serving, (serving + 1) % cluster.num_nodes, shipped)
+            return nbytes, rows
 
-        procs = [cluster.launch(build_on(n), name=f"recover@{n}")
-                 for n in range(cluster.num_nodes)]
-        yield cluster.sim.all_of(procs)
+        yield from _charge_scan_build(cluster, share, "recover")
         self._materialize()
         metrics.scan_stage_builds += 1
         metrics.scan_stage_bytes += base.total_bytes

@@ -53,11 +53,6 @@ class ReDeExecutor:
         self.catalog = catalog
         self.config = config
         self.mode = mode
-        if cluster is not None and config.cache_bytes > 0:
-            # Engine-level buffer-pool provisioning: nodes whose spec
-            # already attached a pool keep it (and its warm contents).
-            cluster.provision_caches(config.cache_bytes,
-                                     config.cache_policy)
 
     def submit_handle(self, job: Job, limit: Optional[int] = None,
                       propagate_errors: bool = True) -> JobHandle:

@@ -263,9 +263,6 @@ class FailureReport:
     def counts_by_kind(self) -> dict[str, int]:
         return dict(Counter(r.kind for r in self.records))
 
-    def counts_by_stage(self) -> dict[int, int]:
-        return dict(Counter(r.stage for r in self.records))
-
     def render(self) -> str:
         """Human-readable account, one line per dropped unit."""
         if not self.records and not self.quarantined and not self.topology:

@@ -37,10 +37,6 @@ class RecordNotFound(StorageError):
     """A pointer did not resolve to a record."""
 
 
-class DuplicateKey(StorageError):
-    """A unique key was inserted twice into a structure that forbids it."""
-
-
 class CatalogError(ReproError):
     """Base class for structure-catalog errors."""
 

@@ -138,9 +138,6 @@ class Compactor:
             name=f"compact-{tier}:{file_name}")
         return elapsed
 
-    def compact_due(self) -> float:
-        return sum(self.compact(name, tier) for name, tier in self.due())
-
     # -- minor tier ------------------------------------------------------
 
     def _structures_with_runs(self, file_name: str) -> list[str]:

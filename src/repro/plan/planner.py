@@ -249,15 +249,6 @@ class PlannedQuery:
     chosen: str  # "mixed" | "index" | "scan"
     initial_cardinality: float
 
-    @property
-    def chosen_estimate(self) -> float:
-        if self.chosen == "mixed":
-            return self.mixed_estimate
-        if self.chosen == "scan":
-            assert self.scan_estimate is not None
-            return self.scan_estimate
-        return self.index_estimate
-
     def describe(self) -> str:
         scan_est = ("n/a" if self.scan_estimate is None
                     else f"{self.scan_estimate * 1e3:.1f}ms")

@@ -28,14 +28,8 @@ from typing import Iterable, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.core.catalog import AccessMethodDefinition, StructureCatalog
-from repro.core.functions import (
-    FileLookupDereferencer,
-    IndexEntryReferencer,
-    IndexLookupDereferencer,
-)
-from repro.core.interpreters import PredicateFilter
-from repro.core.job import Job, JobBuilder
-from repro.core.pointers import Pointer
+from repro.core.chain import ChainQuery
+from repro.core.job import Job
 from repro.core.records import Record
 from repro.datagen.claims import (
     ClaimInterpreter,
@@ -88,20 +82,14 @@ class ClaimsLake:
                      medicine_codes: Sequence[str]) -> Job:
         """Disease-index probe -> raw claim fetch -> medicine filter."""
         medicine_set = set(medicine_codes)
-        medicine_filter = PredicateFilter(
-            lambda record, __: any(
-                code in medicine_set
-                for code in _INTERP.field(record, "medicines") or []),
-            name="co-prescribed-medicine")
-        builder = (
-            JobBuilder("claims_expenses")
-            .dereference(IndexLookupDereferencer("idx_claims_disease"))
-            .reference(IndexEntryReferencer("claims"))
-            .dereference(FileLookupDereferencer("claims",
-                                                filter=medicine_filter)))
-        for code in disease_codes:
-            builder.input(Pointer("idx_claims_disease", code, code))
-        return builder.build()
+        return (ChainQuery("claims_expenses", interpreter=_INTERP)
+                .from_index_lookup("idx_claims_disease", disease_codes,
+                                   base="claims")
+                .filter_fn(lambda record, __: any(
+                    code in medicine_set
+                    for code in _INTERP.field(record, "medicines") or []),
+                    name="co-prescribed-medicine")
+                .build())
 
     def query_expenses(self, disease_codes: Sequence[str],
                        medicine_codes: Sequence[str]

@@ -19,13 +19,18 @@ ingest, compaction or an insert changes the file; see
 :mod:`repro.storage.blockstore`).  It produces the query in both
 dialects:
 
-* :meth:`TpchWorkload.q5_job` — the Reference-Dereference chain: probe the
-  local ``o_orderdate`` index, fetch orders, fetch customers, check
+* :meth:`TpchWorkload.q5_chain` — the Reference-Dereference chain: probe
+  the local ``o_orderdate`` index, fetch orders, fetch customers, check
   nation → region, return to lineitems by the carried order key, fetch
   suppliers with the residual ``s_nationkey = c_nationkey`` filter.
+  :meth:`TpchWorkload.q5_job` is its all-index compilation.
 * :meth:`TpchWorkload.q5_scan_plan` — the scan/grace-hash-join plan an
   Impala-like engine runs: small-to-large build order, the residual on the
-  final join.
+  final join.  It stays hand-written rather than derived with
+  :func:`repro.plan.lowering.to_scan_plan`, which builds left-deep from
+  orders: the same rows, but 0.15 simulated ms slower at selectivity 0.4
+  (which would move Figure 7's Impala-like cell) and, in one measurement,
+  about a quarter more host time per run.
 
 Both produce identical row sets (asserted in the integration tests) via
 :func:`canonical_q5_rows_*`.
@@ -33,31 +38,16 @@ Both produce identical row sets (asserted in the integration tests) via
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.core.catalog import AccessMethodDefinition, StructureCatalog
-from repro.core.functions import (
-    FileLookupDereferencer,
-    IndexEntryReferencer,
-    IndexRangeDereferencer,
-    KeyReferencer,
-)
-from repro.core.interpreters import (
-    ContextMatchFilter,
-    FieldEqualsFilter,
-    MappingInterpreter,
-)
-from repro.core.job import Job, JobBuilder
-from repro.core.pointers import PointerRange
+from repro.core.chain import ChainQuery
+from repro.core.interpreters import MappingInterpreter
+from repro.core.job import Job
 from repro.baselines.scan_engine import HashJoinNode, ScanNode
 from repro.datagen.tpch import TpchGenerator
 from repro.engine.metrics import JobResult
 from repro.baselines.scan_engine import ScanResult
 from repro.storage.blockstore import BlockStore
 from repro.storage.dfs import DistributedFileSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.chain import ChainQuery
 
 __all__ = ["TpchWorkload", "canonical_q5_rows_rede",
            "canonical_q5_rows_scan", "DEFAULT_REGION"]
@@ -181,61 +171,18 @@ class TpchWorkload:
 
     def q5_job(self, date_low: str, date_high: str,
                region: str = DEFAULT_REGION) -> Job:
-        """Q5′ as a Reference-Dereference multi-way index NLJ."""
-        region_filter = FieldEqualsFilter(_INTERP, "r_name", region)
-        nation_match = ContextMatchFilter(_INTERP, "s_nationkey",
-                                          "c_nationkey")
-        return (
-            JobBuilder("tpch_q5")
-            # D0: range-probe the local secondary index on o_orderdate.
-            .dereference(IndexRangeDereferencer("idx_orders_orderdate"))
-            # R1/D1: fetch the matching Order records.
-            .reference(IndexEntryReferencer("orders"))
-            .dereference(FileLookupDereferencer("orders"))
-            # R2/D2: fetch each order's Customer.
-            .reference(KeyReferencer(
-                "customer", _INTERP, "o_custkey",
-                carry=["o_orderkey", "o_orderdate"]))
-            .dereference(FileLookupDereferencer("customer"))
-            # R3/D3: fetch the customer's Nation.
-            .reference(KeyReferencer(
-                "nation", _INTERP, "c_nationkey",
-                carry=["c_custkey", "c_nationkey"]))
-            .dereference(FileLookupDereferencer("nation"))
-            # R4/D4: fetch the nation's Region; drop non-matching regions.
-            .reference(KeyReferencer(
-                "region", _INTERP, "n_regionkey", carry=["n_name"]))
-            .dereference(FileLookupDereferencer("region",
-                                                filter=region_filter))
-            # R5/D5: back to Lineitem via the carried order key (the
-            # cross-partition hop: lineitem is partitioned by l_orderkey).
-            .reference(KeyReferencer(
-                "lineitem", _INTERP, key_from_context="o_orderkey",
-                carry=["r_name"]))
-            .dereference(FileLookupDereferencer("lineitem"))
-            # R6/D6: fetch each lineitem's Supplier; residual predicate
-            # c_nationkey = s_nationkey checks against carried context.
-            .reference(KeyReferencer(
-                "supplier", _INTERP, "l_suppkey",
-                carry=["l_orderkey", "l_linenumber", "l_suppkey",
-                       "l_extendedprice", "l_discount"]))
-            .dereference(FileLookupDereferencer("supplier",
-                                                filter=nation_match))
-            .input(PointerRange("idx_orders_orderdate", date_low,
-                                date_high))
-            .build())
+        """Q5′ as a Reference-Dereference multi-way index NLJ: the
+        all-index compilation of :meth:`q5_chain`."""
+        return self.q5_chain(date_low, date_high, region).build()
 
     def q5_chain(self, date_low: str, date_high: str,
-                 region: str = DEFAULT_REGION) -> "ChainQuery":
+                 region: str = DEFAULT_REGION) -> ChainQuery:
         """Q5′ as a :class:`~repro.core.chain.ChainQuery`.
 
-        Compiles (all-index) to exactly the functions of :meth:`q5_job`;
-        its :meth:`~repro.core.chain.ChainQuery.logical_plan` is what the
+        Its :meth:`~repro.core.chain.ChainQuery.logical_plan` is what the
         per-stage planner (:class:`repro.plan.planner.StagePlanner`)
         inspects to emit mixed scan/index physical plans.
         """
-        from repro.core.chain import ChainQuery
-
         return (ChainQuery("tpch_q5", interpreter=_INTERP)
                 .from_index_range("idx_orders_orderdate", date_low,
                                   date_high, base="orders")
@@ -245,6 +192,9 @@ class TpchWorkload:
                       carry=["c_custkey", "c_nationkey"])
                 .join("region", key="n_regionkey", carry=["n_name"])
                 .filter_equals("r_name", region)
+                # Back to lineitem via the carried order key (the
+                # cross-partition hop: lineitem is partitioned by
+                # l_orderkey).
                 .join("lineitem", context_key="o_orderkey",
                       carry=["r_name"])
                 .join("supplier", key="l_suppkey",

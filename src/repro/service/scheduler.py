@@ -91,10 +91,6 @@ class FairScheduler:
         return sum(len(q) for (ln, tn), q in self._queues.items()
                    if tn == tenant and (lane is None or ln == lane))
 
-    def lane_depth(self, lane: str) -> int:
-        return sum(len(q) for (ln, __), q in self._queues.items()
-                   if ln == lane)
-
     def queued(self) -> list[QueuedRequest]:
         """Every queued request, in no particular order (inspection)."""
         return [item for q in self._queues.values() for item in q]

@@ -12,11 +12,10 @@ module supplies the missing tier:
   :class:`CacheStats` report per-kind hit rates (B-tree interiors are tiny
   and hot; heap pages are large and often scanned once).
 * :class:`BufferPool` — a byte-budgeted page cache with pluggable eviction:
-  ``"lru"`` (classic stack), ``"clock"`` (second-chance FIFO), and ``"2q"``
-  (a segmented-LRU variant of the 2Q policy: new pages enter a small
-  probationary FIFO and must be re-referenced to earn a slot in the
-  protected LRU, which is what makes one-shot scans unable to flush the
-  hot set).
+  ``"lru"`` (classic stack) and ``"2q"`` (a segmented-LRU variant of the
+  2Q policy: new pages enter a small probationary FIFO and must be
+  re-referenced to earn a slot in the protected LRU, which is what makes
+  one-shot scans unable to flush the hot set).
 * :class:`CacheStats` — an aggregatable snapshot (hits, misses, evictions,
   resident bytes, per-kind hit rate).
 
@@ -40,7 +39,7 @@ __all__ = ["PageId", "page_checksum", "CacheStats", "BufferPool",
            "CACHE_POLICIES", "CACHE_HIT_TIME"]
 
 #: Recognised eviction policies, in documentation order.
-CACHE_POLICIES = ("lru", "clock", "2q")
+CACHE_POLICIES = ("lru", "2q")
 
 #: RAM service time (simulated seconds) the engines charge per buffer-pool
 #: hit — non-zero, so a fully cached dereference still yields.
@@ -176,33 +175,6 @@ class _LruPolicy:
         self._order.pop(page, None)
 
 
-class _ClockPolicy:
-    """Second-chance FIFO (the classic CLOCK approximation of LRU).
-
-    A hit sets the page's reference bit; the hand sweeps from the oldest
-    page, clearing set bits (the second chance) until it finds a clear one.
-    """
-
-    def __init__(self) -> None:
-        self._ref: OrderedDict[PageId, bool] = OrderedDict()
-
-    def admit(self, page: PageId) -> None:
-        self._ref[page] = False
-
-    def touch(self, page: PageId) -> None:
-        self._ref[page] = True
-
-    def evict(self) -> PageId:
-        while True:
-            page, referenced = self._ref.popitem(last=False)
-            if not referenced:
-                return page
-            self._ref[page] = False  # re-queue with its bit cleared
-
-    def discard(self, page: PageId) -> None:
-        self._ref.pop(page, None)
-
-
 class _TwoQPolicy:
     """Scan-resistant 2Q (segmented-LRU flavour).
 
@@ -252,8 +224,6 @@ class _TwoQPolicy:
 def _make_policy(policy: str, capacity_bytes: int):
     if policy == "lru":
         return _LruPolicy()
-    if policy == "clock":
-        return _ClockPolicy()
     if policy == "2q":
         return _TwoQPolicy(capacity_bytes)
     raise StorageError(

@@ -155,19 +155,6 @@ class DistributedFileSystem:
                                partitioner=partitioner)
         return self.build_indexes(base_name, [(index, index_key_fn)])[0]
 
-    def build_replicated_index(self, index_name: str, base_name: str,
-                               index_key_fn: KeyFn,
-                               order: int = 64) -> BtreeFile:
-        """Build a fully replicated index: one complete copy per node.
-
-        The FRI scheme of the taxonomy the paper cites: probes are always
-        node-local (no cross-node index traffic), at the cost of N-fold
-        build/maintenance work and capacity.
-        """
-        index = self.new_index(index_name, base_name, "replicated",
-                               order=order)
-        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
-
     def build_local_index(self, index_name: str, base_name: str,
                           index_key_fn: KeyFn,
                           order: int = 64) -> BtreeFile:

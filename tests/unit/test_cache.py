@@ -76,15 +76,6 @@ class TestEvictionPolicies:
         assert pid(1) not in pool
         assert pid(0) in pool
 
-    def test_clock_gives_referenced_pages_a_second_chance(self):
-        pool = BufferPool(3 * PAGE, policy="clock")
-        fill(pool, 3)
-        pool.lookup(pid(0))  # sets 0's reference bit
-        pool.insert(pid(3), PAGE)
-        # The hand passes 0 (referenced: cleared + requeued), evicts 1.
-        assert pid(0) in pool
-        assert pid(1) not in pool
-
     def test_2q_scan_does_not_flush_the_hot_set(self):
         pool = BufferPool(8 * PAGE, policy="2q")
         hot = [pid(n, file="hot") for n in range(4)]

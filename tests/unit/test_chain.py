@@ -1,7 +1,11 @@
 """Unit + equivalence tests for the ChainQuery higher-level abstraction."""
 
+from types import FunctionType
+
 import pytest
 
+from repro.cluster import Cluster
+from repro.config import EngineConfig, laptop_cluster_spec
 from repro.core.chain import ChainQuery
 from repro.core.functions import (
     FileLookupDereferencer,
@@ -10,12 +14,29 @@ from repro.core.functions import (
     IndexRangeDereferencer,
     KeyReferencer,
 )
-from repro.core.interpreters import AndFilter, MappingInterpreter
+from repro.core.interpreters import (
+    AndFilter,
+    ContextMatchFilter,
+    FieldEqualsFilter,
+    Interpreter,
+    MappingInterpreter,
+    PredicateFilter,
+)
+from repro.core.job import JobBuilder
+from repro.core.pointers import Pointer, PointerRange
+from repro.datagen import ClaimsGenerator
+from repro.datagen.claims import ClaimInterpreter
 from repro.engine import ReDeExecutor
 from repro.errors import JobDefinitionError
-from repro.queries import TpchWorkload, canonical_q5_rows_rede
+from repro.queries import (
+    CASE_STUDY_QUERIES,
+    ClaimsLake,
+    TpchWorkload,
+    canonical_q5_rows_rede,
+)
 
 INTERP = MappingInterpreter()
+CLAIM_INTERP = ClaimInterpreter()
 
 
 class TestChainStructure:
@@ -96,44 +117,153 @@ class TestChainStructure:
             ChainQuery("q").filter_equals("a", 1)
 
 
+def handwritten_q5_job(low, high, region):
+    """Q5' as it was written by hand before it became a chain."""
+    return (
+        JobBuilder("tpch_q5")
+        .dereference(IndexRangeDereferencer("idx_orders_orderdate"))
+        .reference(IndexEntryReferencer("orders"))
+        .dereference(FileLookupDereferencer("orders"))
+        .reference(KeyReferencer(
+            "customer", INTERP, "o_custkey",
+            carry=["o_orderkey", "o_orderdate"]))
+        .dereference(FileLookupDereferencer("customer"))
+        .reference(KeyReferencer(
+            "nation", INTERP, "c_nationkey",
+            carry=["c_custkey", "c_nationkey"]))
+        .dereference(FileLookupDereferencer("nation"))
+        .reference(KeyReferencer(
+            "region", INTERP, "n_regionkey", carry=["n_name"]))
+        .dereference(FileLookupDereferencer(
+            "region", filter=FieldEqualsFilter(INTERP, "r_name", region)))
+        .reference(KeyReferencer(
+            "lineitem", INTERP, key_from_context="o_orderkey",
+            carry=["r_name"]))
+        .dereference(FileLookupDereferencer("lineitem"))
+        .reference(KeyReferencer(
+            "supplier", INTERP, "l_suppkey",
+            carry=["l_orderkey", "l_linenumber", "l_suppkey",
+                   "l_extendedprice", "l_discount"]))
+        .dereference(FileLookupDereferencer(
+            "supplier", filter=ContextMatchFilter(INTERP, "s_nationkey",
+                                                  "c_nationkey")))
+        .input(PointerRange("idx_orders_orderdate", low, high))
+        .build())
+
+
+def handwritten_expenses_job(disease_codes, medicine_codes):
+    """The claims case-study job as it was written by hand."""
+    medicine_set = set(medicine_codes)
+    medicine_filter = PredicateFilter(
+        lambda record, __: any(
+            code in medicine_set
+            for code in CLAIM_INTERP.field(record, "medicines") or []),
+        name="co-prescribed-medicine")
+    builder = (
+        JobBuilder("claims_expenses")
+        .dereference(IndexLookupDereferencer("idx_claims_disease"))
+        .reference(IndexEntryReferencer("claims"))
+        .dereference(FileLookupDereferencer("claims",
+                                            filter=medicine_filter)))
+    for code in disease_codes:
+        builder.input(Pointer("idx_claims_disease", code, code))
+    return builder.build()
+
+
+def shape(value):
+    """A comparable view of a job function: its type and attributes,
+    recursively.  Interpreters compare by type and plain functions
+    (opaque predicates) by kind; the run comparisons cover behaviour."""
+    if isinstance(value, Interpreter):
+        return type(value)
+    if isinstance(value, FunctionType):
+        return FunctionType
+    if isinstance(value, dict):
+        return {key: shape(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [shape(item) for item in value]
+    if hasattr(value, "__dict__"):
+        return type(value), shape(vars(value))
+    return value
+
+
+def assert_same_job(derived, oracle):
+    assert derived.name == oracle.name
+    assert derived.inputs == oracle.inputs
+    assert ([shape(f) for f in derived.functions]
+            == [shape(f) for f in oracle.functions])
+
+
+def run_rows(executor, job):
+    result = executor.execute(job)
+    return result.metrics.summary(), [(row.record, dict(row.context))
+                                      for row in result.rows]
+
+
+RUNS = [("smpe", 1), ("smpe", 8), ("partitioned", 64)]
+
+
 class TestChainEquivalence:
-    """The chain-compiled Q5' equals the handwritten job on every count."""
+    """Q5' and the claims job are derived from chains; the hand-built
+    jobs they replaced are the oracles."""
 
     @pytest.fixture(scope="class")
     def workload(self):
         return TpchWorkload(scale_factor=0.001, seed=3, num_nodes=4,
                             block_size=64 * 1024)
 
-    def chain_q5(self, workload, low, high, region):
-        return (ChainQuery("q5_chain", interpreter=INTERP)
-                .from_index_range("idx_orders_orderdate", low, high,
-                                  base="orders")
-                .join("customer", key="o_custkey",
-                      carry=["o_orderkey", "o_orderdate"])
-                .join("nation", key="c_nationkey",
-                      carry=["c_custkey", "c_nationkey"])
-                .join("region", key="n_regionkey", carry=["n_name"])
-                .filter_equals("r_name", region)
-                .join("lineitem", context_key="o_orderkey",
-                      carry=["r_name"])
-                .join("supplier", key="l_suppkey",
-                      carry=["l_orderkey", "l_linenumber", "l_suppkey",
-                             "l_extendedprice", "l_discount"])
-                .filter_context_match("s_nationkey", "c_nationkey")
-                .build())
+    @pytest.fixture(scope="class")
+    def claims(self):
+        return ClaimsLake(ClaimsGenerator(num_claims=400, seed=4).generate())
+
+    def test_q5_job_is_the_handwritten_job(self, workload):
+        low, high = workload.date_range(0.05)
+        assert_same_job(workload.q5_job(low, high, "ASIA"),
+                        handwritten_q5_job(low, high, "ASIA"))
+
+    def test_expenses_job_is_the_handwritten_job(self, claims):
+        for __, diseases, medicines in CASE_STUDY_QUERIES.values():
+            assert_same_job(claims.expenses_job(diseases, medicines),
+                            handwritten_expenses_job(diseases, medicines))
 
     def test_chain_q5_matches_handwritten(self, workload):
         low, high = workload.date_range(0.05)
         executor = ReDeExecutor(None, workload.catalog, mode="reference")
-        handwritten = executor.execute(workload.q5_job(low, high, "ASIA"))
-        chained = executor.execute(self.chain_q5(workload, low, high,
-                                                 "ASIA"))
+        handwritten = executor.execute(handwritten_q5_job(low, high,
+                                                          "ASIA"))
+        chained = executor.execute(workload.q5_job(low, high, "ASIA"))
         assert (canonical_q5_rows_rede(chained)
                 == canonical_q5_rows_rede(handwritten))
         assert len(handwritten.rows) > 0
         # Same functions -> same access profile.
         assert (chained.metrics.record_accesses
                 == handwritten.metrics.record_accesses)
+
+    @pytest.mark.parametrize("mode,batch_size", RUNS)
+    def test_q5_job_runs_like_the_oracle(self, workload, mode, batch_size):
+        low, high = workload.date_range(0.05)
+        config = EngineConfig(batch_size=batch_size)
+        derived, oracle = (
+            run_rows(ReDeExecutor(workload.make_cluster(), workload.catalog,
+                                  config=config, mode=mode), job)
+            for job in (workload.q5_job(low, high, "ASIA"),
+                        handwritten_q5_job(low, high, "ASIA")))
+        assert derived == oracle
+        assert derived[1]
+
+    @pytest.mark.parametrize("mode,batch_size", RUNS)
+    def test_expenses_job_runs_like_the_oracle(self, claims, mode,
+                                               batch_size):
+        __, diseases, medicines = CASE_STUDY_QUERIES["Q1"]
+        config = EngineConfig(batch_size=batch_size)
+        derived, oracle = (
+            run_rows(ReDeExecutor(Cluster(laptop_cluster_spec(4)),
+                                  claims.catalog, config=config,
+                                  mode=mode), job)
+            for job in (claims.expenses_job(diseases, medicines),
+                        handwritten_expenses_job(diseases, medicines)))
+        assert derived == oracle
+        assert derived[1]
 
     def test_chain_with_index_join_matches(self, workload):
         """Part->Lineitem through the global FK index, chain-form."""

@@ -474,7 +474,7 @@ class TestCachedDereference:
 
 
 class TestExecutorCacheProvisioning:
-    """EngineConfig.cache_bytes provisions pools on an uncached cluster."""
+    """The NodeSpec provisions the pools an executor's jobs run against."""
 
     def make_catalog(self):
         dfs = DistributedFileSystem(num_nodes=2)
@@ -487,23 +487,10 @@ class TestExecutorCacheProvisioning:
         return (JobBuilder("j").dereference(FileLookupDereferencer("t"))
                 .input(Pointer("t", key, key)).build())
 
-    def test_config_provisions_every_node(self):
-        from repro.config import EngineConfig
-
-        cluster = Cluster(ClusterSpec(num_nodes=2))
-        assert all(node.buffer_pool is None for node in cluster.nodes)
-        ReDeExecutor(cluster, self.make_catalog(),
-                     config=EngineConfig(cache_bytes=1 << 20,
-                                         cache_policy="clock"),
-                     mode="partitioned")
-        assert all(node.buffer_pool is not None for node in cluster.nodes)
-
     def test_warm_rerun_is_faster_and_hits(self):
-        from repro.config import EngineConfig
-
-        cluster = Cluster(ClusterSpec(num_nodes=2))
+        cluster = Cluster(ClusterSpec(
+            num_nodes=2, node=NodeSpec(cache_bytes=1 << 20)))
         executor = ReDeExecutor(cluster, self.make_catalog(),
-                                config=EngineConfig(cache_bytes=1 << 20),
                                 mode="partitioned")
         cold = executor.execute(self.job(7))
         warm = executor.execute(self.job(7))

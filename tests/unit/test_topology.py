@@ -200,13 +200,3 @@ class TestRebalance:
         slow = throttled.rebalance()
         assert throttled.moves_committed == eager.moves_committed
         assert slow >= fast + 5e-3 * (throttled.moves_committed - 1)
-
-    def test_effective_nodes_discounts_inflight_movement(self):
-        __, __, topology = make_pair()
-        assert topology.effective_nodes() == NUM_NODES
-        topology.rebalancer.active = True  # as if a move were in flight
-        assert topology.effective_nodes() == NUM_NODES - 1
-        topology.rebalancer.active = False
-        topology.join_node()
-        topology.rebalance()
-        assert topology.effective_nodes() == NUM_NODES + 1
