@@ -18,10 +18,10 @@ logic on virtual time.  The kernel is a from-scratch, SimPy-flavoured design:
 
 Determinism: events fire in ``(time, scheduling order)`` order, so repeated
 runs with the same inputs produce identical traces and timings.  Future
-events sit in a heap keyed by ``(time, sequence)``; events scheduled for the
-current instant — most of them: every ``succeed()``, grant, hand-off and
-process start or finish — skip the heap and queue in a FIFO (see
-:class:`Simulator`).
+events wait in one FIFO bucket per distinct instant, the instants in a
+heap; events scheduled for the current instant — most of them: every
+``succeed()``, grant, hand-off and process start or finish — skip the
+timeline and queue in a FIFO (see :class:`Simulator`).
 """
 
 from __future__ import annotations
@@ -111,8 +111,12 @@ class Timeout(Event):
         if when == now:  # zero, or too small to move the clock
             sim._immediate.append(self)
         else:
-            sim._sequence += 1
-            heappush(sim._heap, (when, sim._sequence, self))
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                sim._buckets[when] = [self]
+                heappush(sim._heap, when)
+            else:
+                bucket.append(self)
 
 
 class Process(Event):
@@ -377,22 +381,23 @@ class Simulator:
     """The virtual clock and event loop.
 
     Events fire in ``(time, scheduling order)`` order, a deterministic total
-    order even among simultaneous events.  Two queues hold it:
+    order even among simultaneous events.  Three structures hold it:
 
-    * ``_heap`` — events due at a *later* instant, keyed ``(time, sequence)``;
+    * ``_buckets`` — events due at a *later* instant, one list per
+      distinct instant, each in scheduling order;
+    * ``_heap`` — those instants, each once;
     * ``_immediate`` — events scheduled for the *current* instant, in
       scheduling order.
 
     The loop fires the immediate queue first.  When it is empty the clock
-    advances to the heap's head, and *every* heap entry due at that new
-    instant moves into the immediate queue in ``(time, sequence)`` order:
-    the first fires, the rest wait at the queue's front.  That is the
-    order a single ``(time, sequence)`` heap yields, because a heap entry
-    due at the new instant was pushed at an earlier one, so it was
-    scheduled before anything the new instant appends to ``_immediate``
-    — and nothing can be pushed onto the heap for the current instant
-    (:class:`Timeout` queues a delay that does not move the clock as
-    immediate).
+    advances to the heap's head, and that instant's whole bucket moves
+    into the immediate queue: the first event fires, the rest wait at
+    the queue's front.  That is the order a single ``(time, sequence)``
+    heap yields, because a bucketed event due at the new instant was
+    scheduled at an earlier one, so before anything the new instant
+    appends to ``_immediate`` — and nothing can be bucketed for the
+    current instant (:class:`Timeout` queues a delay that does not move
+    the clock as immediate).
 
     :meth:`step` fires exactly one event and counts it in
     ``events_processed``; :meth:`run` is a loop over it that tests
@@ -401,9 +406,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[float] = []
+        self._buckets: dict[float, list[Event]] = {}
         self._immediate: deque[Event] = deque()
-        self._sequence = 0
         self.events_processed = 0
 
     # -- factories -------------------------------------------------------
@@ -437,14 +442,11 @@ class Simulator:
     def step(self) -> None:
         """Advance to and fire the single next event."""
         immediate = self._immediate
-        if immediate:
-            event = immediate.popleft()
-        else:
-            heap = self._heap
-            now, _seq, event = heappop(heap)
+        if not immediate:
+            now = heappop(self._heap)
             self.now = now
-            while heap and heap[0][0] <= now:
-                immediate.append(heappop(heap)[2])
+            immediate.extend(self._buckets.pop(now))
+        event = immediate.popleft()
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:  # type: ignore[union-attr]
@@ -473,7 +475,7 @@ class Simulator:
             if not immediate:
                 if not heap:
                     break
-                if heap[0][0] > max_time:
+                if heap[0] > max_time:
                     raise SimulationError(
                         f"simulation exceeded max_time={max_time}")
             step()

@@ -22,12 +22,15 @@ opaque.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import (Any, Callable, Iterable, Optional, Sequence, TypeGuard,
+                    Union)
 
 from repro.core.interpreters import Filter, Interpreter
 from repro.core.pointers import Pointer, PointerKind, PointerRange
 from repro.core.records import Record
 from repro.errors import ExecutionError, JobDefinitionError
+from repro.storage.cache import PageId
 from repro.storage.files import (
     BtreeFile,
     EntryPayload,
@@ -93,6 +96,26 @@ class Dereferencer:
         raise NotImplementedError(
             f"{type(self).__name__} must implement fetch()")
 
+    def fetch_batch(self, file: File,
+                    targets: Sequence[Union[Pointer, PointerRange]],
+                    partition_id: int, page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        """Fetch a probe list within one partition: one fresh record list
+        per target, in order, plus the unique pages the probes touch in
+        first-touch order, or None when the dereferencer leaves the page
+        walk to its caller (always when ``page_size`` is None).
+
+        The batch kernel's one call per ``(stage, partition)`` batch, and
+        the only call it makes: it hands the lists out as the stage's
+        outputs when the dereferencer has no filter.  This default loops
+        :meth:`fetch` and copies each list, so a dereferencer that
+        overrides only :meth:`fetch` works unchanged; the pre-defined
+        dereferencers answer the whole list in one storage call.
+        """
+        fetch = self.fetch
+        return [list(fetch(file, target, partition_id))
+                for target in targets], None
+
     def apply_filter(self, records: Iterable[Record],
                      context: Context) -> list[Record]:
         """Run the optional schema-on-read filter over fetched records.
@@ -100,6 +123,8 @@ class Dereferencer:
         Dispatches through :meth:`Filter.matches_batch`, so a fetch of N
         records costs one filter invocation instead of N — semantically
         identical (the default ``matches_batch`` loops over ``matches``).
+        Without a filter the batch kernel does not call this: it hands
+        out :meth:`fetch_batch`'s fresh lists as they are.
         """
         if self.filter is None:
             return list(records)
@@ -235,12 +260,21 @@ class IndexRangeDereferencer(Dereferencer):
     def fetch(self, file: File, target: Union[Pointer, PointerRange],
               partition_id: int) -> list[Record]:
         if not isinstance(file, BtreeFile):
-            raise JobDefinitionError(
-                f"{type(self).__name__} targets {self.file_name!r}, which "
-                "is not a BtreeFile")
+            raise _not_a(self, "a BtreeFile")
         if isinstance(target, PointerRange):
             return file.range_lookup(target, partition_id)
         return file.lookup_in_partition(partition_id, target)
+
+    def fetch_batch(self, file: File,
+                    targets: Sequence[Union[Pointer, PointerRange]],
+                    partition_id: int, page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        if type(self).fetch is not IndexRangeDereferencer.fetch:
+            return super().fetch_batch(file, targets, partition_id,
+                                       page_size)
+        if not isinstance(file, BtreeFile):
+            raise _not_a(self, "a BtreeFile")
+        return file.probe_batch(partition_id, targets, page_size)
 
 
 class IndexLookupDereferencer(Dereferencer):
@@ -249,14 +283,23 @@ class IndexLookupDereferencer(Dereferencer):
     def fetch(self, file: File, target: Union[Pointer, PointerRange],
               partition_id: int) -> list[Record]:
         if not isinstance(file, BtreeFile):
-            raise JobDefinitionError(
-                f"{type(self).__name__} targets {self.file_name!r}, which "
-                "is not a BtreeFile")
+            raise _not_a(self, "a BtreeFile")
         if isinstance(target, PointerRange):
-            raise ExecutionError(
-                "equality dereferencer received a pointer range; use "
-                "IndexRangeDereferencer")
+            raise ExecutionError(_EQUALITY_RANGE_ERROR)
         return file.lookup_in_partition(partition_id, target)
+
+    def fetch_batch(self, file: File,
+                    targets: Sequence[Union[Pointer, PointerRange]],
+                    partition_id: int, page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        if type(self).fetch is not IndexLookupDereferencer.fetch:
+            return super().fetch_batch(file, targets, partition_id,
+                                       page_size)
+        if not isinstance(file, BtreeFile):
+            raise _not_a(self, "a BtreeFile")
+        if not _only_pointers(targets):
+            raise ExecutionError(_EQUALITY_RANGE_ERROR)
+        return file.probe_batch(partition_id, targets, page_size)
 
 
 class FileLookupDereferencer(Dereferencer):
@@ -267,13 +310,48 @@ class FileLookupDereferencer(Dereferencer):
     def fetch(self, file: File, target: Union[Pointer, PointerRange],
               partition_id: int) -> list[Record]:
         if not isinstance(file, PartitionedFile):
-            raise JobDefinitionError(
-                f"{type(self).__name__} targets {self.file_name!r}, which "
-                "is not a base file")
+            raise _not_a(self, "a base file")
         if isinstance(target, PointerRange):
-            raise ExecutionError(
-                "base-file dereferencer cannot take a pointer range")
+            raise ExecutionError(_BASE_RANGE_ERROR)
         return file.lookup_in_partition(partition_id, target)
+
+    def fetch_batch(self, file: File,
+                    targets: Sequence[Union[Pointer, PointerRange]],
+                    partition_id: int, page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        if type(self).fetch is not FileLookupDereferencer.fetch:
+            return super().fetch_batch(file, targets, partition_id,
+                                       page_size)
+        if not isinstance(file, PartitionedFile):
+            raise _not_a(self, "a base file")
+        if not _only_pointers(targets):
+            raise ExecutionError(_BASE_RANGE_ERROR)
+        return file.probe_batch(partition_id, targets, page_size)
+
+
+# The pre-defined dereferencers answer a batch with one type check and
+# one storage call.  A subclass that overrides ``fetch`` alone keeps the
+# base class's loop over its own ``fetch``.
+
+_EQUALITY_RANGE_ERROR = ("equality dereferencer received a pointer range; "
+                         "use IndexRangeDereferencer")
+_BASE_RANGE_ERROR = "base-file dereferencer cannot take a pointer range"
+
+
+def _not_a(dereferencer: Dereferencer, kind: str) -> JobDefinitionError:
+    return JobDefinitionError(
+        f"{type(dereferencer).__name__} targets "
+        f"{dereferencer.file_name!r}, which is not {kind}")
+
+
+def _only_pointers(targets: Sequence[Union[Pointer, PointerRange]]
+                   ) -> TypeGuard[Sequence[Pointer]]:
+    """True when no target is a range (the check ``fetch`` makes per
+    target, made for the whole batch)."""
+    for target in targets:
+        if isinstance(target, PointerRange):
+            return False
+    return True
 
 
 def _carried(context: Context, carry: Mapping[str, str],

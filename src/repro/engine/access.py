@@ -193,6 +193,19 @@ def _probe_page_ids(file: File, target: Target,
     return None
 
 
+def _batch_page_ids(file: File, targets: Sequence[Target],
+                    partition_id: int, page_size: int
+                    ) -> Optional[list[PageId]]:
+    """The unique pages a batch's walks touch, in first-touch order, for
+    a dereferencer that leaves the walk to the funnel; ``None`` when a
+    target's pages cannot be enumerated."""
+    page_lists = [_probe_page_ids(file, target, partition_id, page_size)
+                  for target in targets]
+    if any(pages is None for pages in page_lists):
+        return None
+    return list(dict.fromkeys(chain.from_iterable(page_lists)))
+
+
 def simulated_dereference(cluster: Cluster, config: EngineConfig,
                           metrics: ExecutionMetrics, stage: int,
                           dereferencer: Dereferencer, file: File,
@@ -1007,37 +1020,37 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
     home = file.node_of(partition_id)
     owner = cluster.serving_node(home)
     start_time = cluster.sim.now
-    fetched = [dereferencer.fetch(file, target, partition_id)
-               for target, __ in probes]
-    total_records = sum(len(records) for records in fetched)
-    is_index = isinstance(file, BtreeFile)
-    owner_disk = cluster.node(owner).disk
+    owner_node = cluster.node(owner)
+    owner_disk = owner_node.disk
     page_size = owner_disk.spec.page_size
+    pool = owner_node.buffer_pool
+    walk = pool is not None and pool.enabled
+    # One storage call for the whole batch: every probe's records and,
+    # with a pool to consult, the unique pages their walks touch.
+    targets = [target for target, __ in probes]
+    fetched, pages = dereferencer.fetch_batch(
+        file, targets, partition_id, page_size if walk else None)
+    if walk and pages is None:
+        pages = _batch_page_ids(file, targets, partition_id, page_size)
+    total_records = sum(map(len, fetched))
+    is_index = isinstance(file, BtreeFile)
 
     injector = cluster.faults
     check = injector is not None and injector.has_corruption
 
-    pool = cluster.node(owner).buffer_pool
-    page_lists: Optional[list] = None
-    if pool is not None and pool.enabled:
-        page_lists = [_probe_page_ids(file, target, partition_id, page_size)
-                      for target, __ in probes]
-        if any(pages is None for pages in page_lists):
-            page_lists = None
     hits = misses = 0
-    if page_lists is not None:
+    if pages is not None:
         # Page walks dedupe across the batch: each unique page consults
         # the pool once, in first-touch order.
-        unique = dict.fromkeys(chain.from_iterable(page_lists))
         to_read = []
-        for page in unique:
+        for page in pages:
             if pool.lookup(page):
                 hits += 1
-                metrics.cache_hits += 1
             else:
                 misses += 1
-                metrics.cache_misses += 1
                 to_read.append(page)
+        metrics.cache_hits += hits
+        metrics.cache_misses += misses
         if hits:
             yield cluster.sim.timeout(hits * CACHE_HIT_TIME)
         if misses:
@@ -1046,7 +1059,7 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
             for page in to_read:
                 pool.insert(page, page_size)
         if check:
-            for page in unique:
+            for page in pages:
                 if injector.page_corrupt(home, page):
                     raise _corruption_error(file, page)
         metrics.count_fetch(stage, total_records, is_index, misses)
@@ -1060,7 +1073,7 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
             yield from owner_disk.random_read_batch(reads)
         if check:
             seen = set()
-            for target, __ in probes:
+            for target in targets:
                 for page in (_probe_page_ids(file, target, partition_id,
                                              page_size) or ()):
                     if page in seen:
@@ -1088,5 +1101,7 @@ def batched_dereference(cluster: Cluster, config: EngineConfig,
             start=start_time, end=cluster.sim.now,
             cache_hits=hits, cache_misses=misses,
             batch_size=len(probes)))
+    if dereferencer.filter is None:
+        return fetched  # fresh lists (Dereferencer.fetch_batch)
     return [dereferencer.apply_filter(records, context)
             for records, (__, context) in zip(fetched, probes)]

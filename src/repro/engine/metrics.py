@@ -113,9 +113,9 @@ class ExecutionMetrics:
         self.stage_invocations[stage] += 1
         self.stage_record_accesses[stage] += num_records
 
-    def count_invocation(self, stage: int) -> None:
-        """Account one referencer invocation (no storage fetch)."""
-        self.stage_invocations[stage] += 1
+    def count_invocation(self, stage: int, count: int = 1) -> None:
+        """Account ``count`` referencer invocations (no storage fetch)."""
+        self.stage_invocations[stage] += count
 
     def count_batch(self, num_probes: int, capacity: int) -> None:
         """Account one batched dereference dispatch of ``num_probes``

@@ -20,6 +20,8 @@ job or is dropped into the :class:`~repro.engine.metrics.FailureReport`.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import repeat
 from typing import Optional
 
 from repro.cluster.cluster import Cluster
@@ -36,6 +38,7 @@ from repro.engine.access import (classify_failure, initial_probe_pids,
 from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
                                   FailureReport, JobResult)
 from repro.errors import ExecutionError, JobAborted
+from repro.storage.files import PartitionedFile
 
 __all__ = ["PartitionedEngine"]
 
@@ -170,17 +173,27 @@ class PartitionedEngine:
                         raise ExecutionError(
                             f"stage {stage} expects records, got "
                             f"{type(payload).__name__}")
-                    metrics.count_invocation(stage)
                     next_frontier.extend(function.reference(payload,
                                                             context))
+                metrics.count_invocation(stage, len(frontier))
                 frontier = next_frontier
                 stage += 1
                 continue
             file = self.catalog.resolve(function.file_name)
-            groups: dict[int, list] = {}
-            for payload, context in frontier:
+            # Routing is resolved once per stage: a keyed pointer into a
+            # base file costs one partitioner call; every other target
+            # takes resolve_partitions' answer.
+            route = (file.partitioner.partition
+                     if isinstance(file, PartitionedFile) else None)
+            groups: defaultdict[int, list] = defaultdict(list)
+            for item in frontier:
+                payload = item[0]
                 if stage == 0:
                     pids = initial_probe_pids(file, payload, node_id)
+                elif (route is not None and type(payload) is Pointer
+                      and payload.partition_key is not None):
+                    groups[route(payload.partition_key)].append(item)
+                    continue
                 elif not isinstance(payload, (Pointer, PointerRange)):
                     raise ExecutionError(
                         f"stage {stage} expects pointers, got "
@@ -192,7 +205,7 @@ class PartitionedEngine:
                 else:
                     pids = resolve_partitions(file, payload)
                 for pid in pids:
-                    groups.setdefault(pid, []).append((payload, context))
+                    groups[pid].append(item)
             frontier = []
             for pid, probes in groups.items():
                 if limit_reached():
@@ -203,6 +216,5 @@ class PartitionedEngine:
                         metrics, failures, recovery, stage, function, file,
                         chunk, pid, node_id)
                     for (__, context), records in zip(chunk, outputs):
-                        frontier.extend((record, context)
-                                        for record in records)
+                        frontier += zip(records, repeat(context))
             stage += 1

@@ -15,8 +15,9 @@ method call), not deep inside an engine.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.core.interpreters import Filter, Interpreter, MappingInterpreter
 from repro.errors import JobDefinitionError

@@ -28,8 +28,7 @@ from repro.errors import PartitionError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.cache import PageId
 from repro.storage.heapfile import HeapFile
-from repro.storage.partitioner import HashPartitioner, Partitioner, \
-    stable_hash
+from repro.storage.partitioner import HashPartitioner, Partitioner
 
 __all__ = ["File", "PartitionedFile", "BtreeFile", "EntryPayload",
            "IndexEntry", "index_buckets", "round_robin_placement"]
@@ -45,6 +44,7 @@ INDEX_KEY_FIELD = "key"
 
 #: ``target_kind`` of a physical entry; logical entries omit the field.
 PHYSICAL_KIND = PointerKind.PHYSICAL.value
+_PHYSICAL = PointerKind.PHYSICAL
 
 _LOGICAL_FIELDS = (INDEX_KEY_FIELD, TARGET_PARTITION_FIELD, TARGET_KEY_FIELD)
 _PHYSICAL_FIELDS = _LOGICAL_FIELDS + (TARGET_KIND_FIELD,)
@@ -377,27 +377,46 @@ class PartitionedFile(File):
 
     def probe_page_ids(self, partition_id: int, pointer: Pointer,
                        page_size: int) -> list[PageId]:
-        """The exact heap pages one pointer fetch touches.
+        """The exact heap pages one pointer fetch touches, under the
+        heap's page rule (:meth:`HeapFile.probe_pages`)."""
+        pid = self.partitioner.validate(partition_id)
+        name = self.name
+        return [_new_page_id(PageId, (name, pid, "heap", page))
+                for page in self.partitions[pid].probe_pages(
+                    pointer.key, pointer.kind is _PHYSICAL, page_size)]
 
-        Physical pointers address a single slot's page; logical pointers
-        touch every (distinct) page the key's slots land on.  A miss still
-        reads the page the key's slot chain would live in — chosen by key
-        hash so repeated misses of the same key stay cacheable without two
-        different absent keys aliasing each other onto page 0.
+    def probe_batch(self, partition_id: int, pointers: Sequence[Pointer],
+                    page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        """Answer a probe list against one partition in one call.
+
+        Returns one fresh record list per pointer, in order (what
+        :meth:`lookup_in_partition` returns for each) and, when
+        ``page_size`` is given, the unique heap pages the probes touch in
+        first-touch order: each probe's pages under the same rule as
+        :meth:`probe_page_ids`, deduplicated as page numbers, each made a
+        :class:`PageId` once.  Without ``page_size`` no page is walked
+        and the pages are None.  An out-of-range physical pointer raises
+        :class:`~repro.errors.RecordNotFound`.
         """
         pid = self.partitioner.validate(partition_id)
         heap = self.partitions[pid]
-        key = pointer.key
-        if pointer.kind is PointerKind.PHYSICAL:
-            pages = ([heap.page_of_slot(key, page_size)]
-                     if 0 <= key < len(heap) else [])
-        else:
-            pages = heap.pages_for_key(key, page_size)
-        if not pages:
-            pages = [stable_hash(key) % heap.num_pages(page_size)]
+        get, lookup, probe_pages = heap.get, heap.lookup, heap.probe_pages
+        fetched: list[list[Record]] = []
+        append = fetched.append
+        seen: dict[int, None] = {}
+        for pointer in pointers:
+            key = pointer.key
+            physical = pointer.kind is _PHYSICAL
+            append([get(key)] if physical else lookup(key))
+            if page_size is not None:
+                for page in probe_pages(key, physical, page_size):
+                    seen[page] = None
+        if page_size is None:
+            return fetched, None
         name = self.name
-        return [_new_page_id(PageId, (name, pid, "heap", page))
-                for page in pages]
+        return fetched, [_new_page_id(PageId, (name, pid, "heap", page))
+                         for page in seen]
 
     def partition_page_ids(self, partition_id: int,
                            page_size: int) -> list[PageId]:
@@ -591,11 +610,9 @@ class BtreeFile(File):
                      partition_id: int) -> list[Record]:
         """Range probe of one partition ("a set of *Records* with a range of
         given *Pointers*")."""
-        tree = self.trees[self.partitioner.validate(partition_id)]
-        return [entry for __, entry in tree.range(
-            pointer_range.low, pointer_range.high,
-            inclusive_low=pointer_range.inclusive_low,
-            inclusive_high=pointer_range.inclusive_high)]
+        return _tree_records(
+            self.trees[self.partitioner.validate(partition_id)],
+            pointer_range)
 
     def probe_io_count(self, num_results: int) -> int:
         """Random reads charged for one probe returning ``num_results``.
@@ -616,19 +633,47 @@ class BtreeFile(File):
         spans (no "interiors are free" assumption — a cold cache pays for
         the path, a warm one hits it)."""
         pid = self.partitioner.validate(partition_id)
-        tree = self.trees[pid]
-        if isinstance(target, PointerRange):
-            interior, leaves = tree.range_traversal_pages(
-                target.low, target.high,
-                inclusive_low=target.inclusive_low,
-                inclusive_high=target.inclusive_high)
-        else:
-            interior, leaves = tree.point_traversal_pages(target.key)
+        interior, leaves = _tree_walk(self.trees[pid], target)
         name = self.name
         return ([_new_page_id(PageId, (name, pid, "interior", page))
                  for page in interior]
                 + [_new_page_id(PageId, (name, pid, "leaf", page))
                    for page in leaves])
+
+    def probe_batch(self, partition_id: int,
+                    targets: Sequence["Pointer | PointerRange"],
+                    page_size: Optional[int] = None
+                    ) -> tuple[list[list[Record]], Optional[list[PageId]]]:
+        """Answer a probe list (equality pointers and ranges) against one
+        partition in one call.
+
+        Returns one fresh entry list per target, in order (what
+        :meth:`lookup_in_partition` or :meth:`range_lookup` returns for
+        it) and, when ``page_size`` is given, the unique pages the
+        probes' walks touch in first-touch order — each probe's walk as
+        :meth:`probe_page_ids` takes it, interior path first, in probe
+        order, so pages are numbered in the same order.  Page numbers are
+        unique within a tree, so they deduplicate as ints; each becomes a
+        :class:`PageId` once.  ``page_size`` only switches the walk on:
+        B-tree pages are numbered by traversal, not sized.
+        """
+        pid = self.partitioner.validate(partition_id)
+        tree = self.trees[pid]
+        fetched: list[list[Record]] = []
+        seen: dict[int, str] = {}
+        for target in targets:
+            fetched.append(_tree_records(tree, target))
+            if page_size is not None:
+                interior, leaves = _tree_walk(tree, target)
+                for page in interior:
+                    seen.setdefault(page, "interior")
+                for page in leaves:
+                    seen.setdefault(page, "leaf")
+        if page_size is None:
+            return fetched, None
+        name = self.name
+        return fetched, [_new_page_id(PageId, (name, pid, kind, page))
+                         for page, kind in seen.items()]
 
     def partition_page_ids(self, partition_id: int,
                            page_size: int = 0) -> list[PageId]:
@@ -653,3 +698,25 @@ class BtreeFile(File):
         overhead, maintained as a running counter on the write paths so
         sizing a cluster around an index stays O(1)."""
         return self._total_bytes
+
+
+def _tree_records(tree: BPlusTree, target: "Pointer | PointerRange"
+                  ) -> list[Record]:
+    """A fresh list of the entries one probe of ``tree`` returns."""
+    if isinstance(target, PointerRange):
+        return [entry for __, entry in tree.range(
+            target.low, target.high, inclusive_low=target.inclusive_low,
+            inclusive_high=target.inclusive_high)]
+    return tree.search(target.key)
+
+
+def _tree_walk(tree: BPlusTree, target: "Pointer | PointerRange"
+               ) -> tuple[list[int], list[int]]:
+    """``(interior, leaf)`` page numbers one probe of ``tree`` touches:
+    the B-tree's one page rule, shared by the per-probe and the batch
+    page walks."""
+    if isinstance(target, PointerRange):
+        return tree.range_traversal_pages(
+            target.low, target.high, inclusive_low=target.inclusive_low,
+            inclusive_high=target.inclusive_high)
+    return tree.point_traversal_pages(target.key)

@@ -13,6 +13,7 @@ from typing import Any, Iterator, Optional
 
 from repro.core.records import Record
 from repro.errors import RecordNotFound
+from repro.storage.partitioner import stable_hash
 
 __all__ = ["HeapFile"]
 
@@ -82,18 +83,32 @@ class HeapFile:
         """Physical slots stored under an in-partition key."""
         return list(self._key_map.get(key, []))
 
-    def pages_for_key(self, key: Any, page_size: int) -> list[int]:
-        """Sorted distinct pages holding an in-partition key's slots
-        (empty for an absent key).  Read straight off the key map: its
-        slots were range-checked on the way in (:meth:`append` creates
-        them, :meth:`alias` checks them), so no per-slot check here."""
-        slots = self._key_map.get(key)
-        if not slots:
-            return []
-        offsets = self._offsets
-        if len(slots) == 1:
-            return [offsets[slots[0]] // page_size]
-        return sorted({offsets[slot] // page_size for slot in slots})
+    def probe_pages(self, key: Any, physical: bool,
+                    page_size: int) -> list[int]:
+        """The pages one probe of ``key`` touches: the heap's one page
+        rule, shared by the per-probe and the batch page walks.
+
+        A physical probe reads its slot's page.  A logical probe reads
+        the sorted distinct pages of the key's slots, straight off the
+        key map: its slots were range-checked on the way in
+        (:meth:`append` creates them, :meth:`alias` checks them).  A miss
+        (an absent key or an out-of-range slot) still reads the page the
+        record would live in, chosen by key hash so repeated misses of
+        one key stay cacheable without two absent keys aliasing each
+        other onto page 0.
+        """
+        if physical:
+            if 0 <= key < len(self._records):
+                return [self._offsets[key] // page_size]
+        else:
+            slots = self._key_map.get(key)
+            if slots:
+                offsets = self._offsets
+                if len(slots) == 1:
+                    return [offsets[slots[0]] // page_size]
+                return sorted({offsets[slot] // page_size
+                               for slot in slots})
+        return [stable_hash(key) % self.num_pages(page_size)]
 
     def page_of_slot(self, slot: int, page_size: int) -> int:
         """Page number holding ``slot``, under an append-only byte layout

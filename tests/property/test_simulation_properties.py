@@ -413,3 +413,27 @@ def test_kernel_fires_in_heap_only_time_sequence_order(program, segments):
     ref_log, ref_events = _run_program(_RefSimulator(), program, segments)
     assert log == ref_log
     assert events == ref_events
+
+
+def test_many_processes_sharing_float_instants_match_the_heap_only_kernel():
+    """Forty processes whose timeouts land on a handful of shared float
+    instants — exact ties (0.25 + 0.25 == 0.5) beside near misses
+    (0.1 + 0.2 != 0.3) — fire in the heap-only order, also when
+    ``run(max_time=...)`` stops exactly on a shared instant and again
+    just before one."""
+    delays = [(0.5,), (0.25, 0.25), (0.3,), (0.1, 0.2), (0.5, 0.0),
+              (0.25, 0.25, 0.5), (1.0,), (0.1, 0.2, 0.7)]
+    program = []
+    for pid in range(40):
+        ops = [("timeout", d) for d in delays[pid % len(delays)]]
+        ops += [("request", pid % 2), ("put", pid % 2),
+                ("timeout", 0.25 * (pid % 3)), ("release", pid % 2),
+                ("get", (pid + 1) % 2)]
+        program.append(ops)
+    segments = [(None, 0.5), (None, 0.29), (7, 0.0), (None, None)]
+    log, events = _run_program(Simulator(), program, segments)
+    ref_log, ref_events = _run_program(_RefSimulator(), program, segments)
+    assert log == ref_log
+    assert events == ref_events
+    assert [entry[1][0] for entry in log if entry[0] == "segment"][:2] == [
+        "SimulationError", "SimulationError"]

@@ -3,11 +3,11 @@
 Index entries are the largest allocation of every lake.  With dict
 payloads ``catalog.build_all()`` on this lake retained about 272 bytes
 per entry; with slotted read-only payloads, sizes summed from parts and
-one slot int per base record it retains about 142 (141.6 on both
-CPython 3.11 and 3.13; 3.10 and 3.12 were not measured).  The bound
-below is that measurement plus about 13 % for allocator and
-interpreter-version noise, so a change that re-inflates entries fails
-here instead of only in the benchmark's ``peak_rss_mb``.
+one slot int per base record it retains about 142 (141.6 on CPython
+3.10, 3.11 and 3.13, 141.5 on 3.12).  The bound below is that
+measurement plus about 13 % for allocator and interpreter-version
+noise, so a change that re-inflates entries fails here instead of only
+in the benchmark's ``peak_rss_mb``.
 """
 
 import gc
@@ -19,7 +19,7 @@ from repro.datagen.tpch import TpchGenerator
 from repro.storage import DistributedFileSystem
 
 #: measured 141.6 B/entry retained (Q5' index set, SF 0.001, 4 nodes;
-#: CPython 3.11 and 3.13)
+#: CPython 3.10, 3.11 and 3.13; 141.5 on 3.12)
 MAX_BYTES_PER_ENTRY = 160
 
 INTERP = MappingInterpreter()

@@ -10,16 +10,24 @@ cacheless one.
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
+from repro.config import EngineConfig
 from repro.core import (
     AccessMethodDefinition,
     ChainQuery,
+    FileLookupDereferencer,
+    IndexEntryReferencer,
+    IndexRangeDereferencer,
+    JobBuilder,
     MappingInterpreter,
+    Pointer,
+    PointerRange,
+    PredicateFilter,
     Record,
     StructureCatalog,
 )
 from repro.ingest import Compactor, IngestCoordinator, MicroBatch
 from repro.plan import ACCESS_INDEX, ACCESS_SCAN, compile_logical
-from repro.service import QueryGateway, TenantSpec
+from repro.service import OverloadPolicy, QueryGateway, TenantSpec
 from repro.service.result_cache import PROVENANCE_KEY, SemanticResultCache
 from repro.storage import DistributedFileSystem
 
@@ -257,3 +265,113 @@ class TestScanTableTier:
         plain = serve(plain_cluster, plain_gateway,
                       self.make_scan_job(catalog, 20, 24))
         assert row_set(warm) == row_set(plain)
+
+
+# -- the guards that keep wrong rows out of the cache --------------------
+
+
+def hand_range_job(low, high, index_filter=None, base=None):
+    """``range_job`` written out by hand, so its stages can be swapped."""
+    return (JobBuilder(f"hand{low}-{high}")
+            .dereference(IndexRangeDereferencer("idx_attr",
+                                                filter=index_filter))
+            .reference(IndexEntryReferencer("t"))
+            .dereference(base or FileLookupDereferencer("t"))
+            .input(PointerRange("idx_attr", low, high))
+            .build())
+
+
+def pointer_job(keys):
+    return (JobBuilder("pointers")
+            .dereference(FileLookupDereferencer("t"))
+            .inputs([Pointer("t", key, key) for key in keys])
+            .build())
+
+
+def run_all(cluster, gateway, submissions):
+    tickets = [gateway.submit("t0", job, fallback_job=fallback)
+               for job, fallback in submissions]
+    for ticket in tickets:
+        if not ticket.finished:
+            cluster.run_until(ticket.done)
+    return tickets
+
+
+class TestCacheGuards:
+    def test_opaque_index_filter_is_never_served_from_cache(self):
+        """An opaque predicate has no value identity, so a job carrying
+        one on its index dereferencer must not be cached, not even when
+        the very same job object comes back."""
+        catalog = make_catalog()
+        cluster, gateway, cache = make_gateway(catalog)
+        job = hand_range_job(
+            0, 9, index_filter=PredicateFilter(lambda r, c: True))
+        first = serve(cluster, gateway, job)
+        again = serve(cluster, gateway, job)
+        assert first.result.rows
+        assert not again.served_from_cache
+        assert cache.insertions == 0 and cache.hits == 0
+        assert row_values(again) == row_values(first)
+
+    def test_pointer_input_job_is_cached_and_served_identically(self):
+        """Pointer inputs are part of the job's signature: the repeat is
+        a hit with the same rows, and other pointers are another entry."""
+        catalog = make_catalog()
+        cluster, gateway, cache = make_gateway(catalog)
+        first = serve(cluster, gateway, pointer_job([5, 9, 11]))
+        repeat = serve(cluster, gateway, pointer_job([5, 9, 11]))
+        other = serve(cluster, gateway, pointer_job([6, 10]))
+        assert len(first.result.rows) == 3
+        assert repeat.served_from_cache
+        assert row_values(repeat) == row_values(first)
+        assert not other.served_from_cache
+        assert sorted(row.record["pk"] for row in other.result.rows) == [
+            6, 10]
+        assert cache.insertions == 2 and cache.hits == 1
+
+    @pytest.mark.parametrize("outcome", ["failed", "degraded"])
+    def test_failed_or_degraded_job_is_stripped_and_not_inserted(
+            self, outcome):
+        """Rows of a job that failed or ran its degraded plan reach the
+        caller without the provenance key, and nothing is cached."""
+        catalog = make_catalog()
+        cluster = Cluster(ClusterSpec(num_nodes=NUM_NODES))
+        cache = SemanticResultCache(8 << 20)
+        if outcome == "failed":
+            class Failing(FileLookupDereferencer):
+                """Fails its last fetch, once earlier rows are out."""
+                calls = 0
+
+                def fetch(self, file, target, partition_id):
+                    self.calls += 1
+                    if self.calls == 200:
+                        raise ValueError("fetch 200 fails")
+                    return super().fetch(file, target, partition_id)
+
+            # one thread per node, so rows finish before the last fetch
+            gateway = QueryGateway(cluster, catalog,
+                                   EngineConfig(thread_pool_size=1),
+                                   result_cache=cache)
+            submissions = [(hand_range_job(0, 9, base=Failing("t")), None)]
+        else:
+            gateway = QueryGateway(
+                cluster, catalog, max_concurrent=1, result_cache=cache,
+                policy=OverloadPolicy(degrade_depth=1, shed_depth=8))
+            submissions = [(hand_range_job(10 * i, 10 * i + 4),
+                            hand_range_job(10 * i, 10 * i + 4))
+                           for i in range(3)]
+        gateway.register(TenantSpec("t0"))
+        tickets = run_all(cluster, gateway, submissions)
+        if outcome == "failed":
+            [spoiled] = tickets
+            assert spoiled.state == "failed"
+        else:
+            spoiled = next(t for t in tickets if t.degraded)
+            assert spoiled.state == "completed"
+        assert spoiled.result.rows
+        assert all(PROVENANCE_KEY not in row.context
+                   for row in spoiled.result.rows)
+        clean = [t for t in tickets if t.state == "completed"
+                 and not t.degraded]
+        assert cache.insertions == len(clean)
+        assert len(cache) == len(clean)
