@@ -81,10 +81,6 @@ class SweepTable:
             lines.append(f"   note: {note}")
         return "\n".join(lines)
 
-    def show(self) -> None:
-        print()
-        print(self.render())
-
 
 def _render_cell(value: Any) -> str:
     if isinstance(value, float):

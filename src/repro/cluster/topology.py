@@ -384,10 +384,6 @@ class TopologyController:
         return self.rebalancer.converged
 
     @property
-    def rebalancing(self) -> bool:
-        return self.rebalancer.active
-
-    @property
     def moves_committed(self) -> int:
         return self.rebalancer.moves_committed
 

@@ -23,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.catalog import AccessMethodDefinition, StructureCatalog
+from repro.core.catalog import (AccessMethodDefinition, StructureCatalog,
+                                StructureState)
 from repro.core.functions import Dereferencer
 from repro.core.interpreters import (
     FieldEqualsFilter,
@@ -60,14 +61,14 @@ class MaintenanceWorker:
         Returns ``(names_built, simulated_build_seconds)``; the time is 0.0
         without a cluster.
 
-        With a cluster, each build runs as a simulated job that records a
-        catalog checkpoint after every base partition's scan.  A
-        :class:`~repro.errors.NodeCrashed` mid-build therefore leaves the
-        structure ``BUILDING`` with a consistent completed-partition set —
-        the next ``run_pending`` charges only the missing partitions before
-        materializing.  The charge/materialize pair is atomic per
-        structure: if materialization raises, the build is rolled back to
-        ``PENDING`` and the catalog is unchanged.
+        With a cluster, each build runs :meth:`materialize_job` on a fresh
+        time window.  A :class:`~repro.errors.NodeCrashed` mid-build
+        therefore leaves the structure ``BUILDING`` with a consistent
+        completed-partition set — the next ``run_pending`` charges only
+        the missing partitions before materializing.  The
+        charge/materialize pair is atomic per structure: if
+        materialization raises, the build is rolled back to ``PENDING``
+        and the catalog is unchanged.
         """
         pending = self.catalog.pending()
         total_elapsed = 0.0
@@ -77,14 +78,32 @@ class MaintenanceWorker:
                 self.catalog.ensure_built(name)
                 built.append(name)
                 continue
-            self.catalog.begin_build(name)
-            total_elapsed += self.charge_build_cost(name)
-            if self.finalize_build(name):
+            materialized, elapsed = self.cluster.run_job(
+                self.materialize_job(name), name=f"build:{name}")
+            total_elapsed += elapsed
+            if materialized:
                 built.append(name)
         if built:
             logger.info("background build of %s took %.4fs simulated",
                         built, total_elapsed)
         return built, total_elapsed
+
+    def materialize_job(self, name: str):
+        """Process generator: one (possibly resumed) checkpointed build of
+        ``name``; a no-op when it is already ``READY``.
+
+        Enters (or re-enters) ``BUILDING``, pays :meth:`build_job`, and
+        materializes the structure if every partition checkpointed (see
+        :meth:`finalize_build`).  Returns whether this pass materialized
+        it.  :meth:`run_pending` runs it on a fresh time window; the
+        serving gateway's background lane runs it on the shared cluster
+        timeline, where it competes with queries for the disks.
+        """
+        if self.catalog.state(name) is StructureState.READY:
+            return False
+        self.catalog.begin_build(name)
+        yield from self.build_job(name)
+        return self.finalize_build(name)
 
     def build_job(self, name: str):
         """Process generator for one (possibly resumed) build pass of
@@ -96,11 +115,9 @@ class MaintenanceWorker:
         it finishes.  A node crash stops that node's share cleanly — the
         job still completes, and the checkpoint set tells the caller how
         far the build got.  Crashed nodes' partitions are scanned by their
-        serving survivors (the DFS replica path).
-
-        :meth:`charge_build_cost` runs this on a fresh time window; the
-        serving gateway's background lane runs it inline on the shared
-        cluster timeline, where it competes with queries for the disks.
+        serving survivors (the DFS replica path).  The charge alone:
+        :meth:`materialize_job` and the scrub worker's repair wrap it with
+        their own catalog transitions.
         """
         assert self.cluster is not None
         definition = self.catalog.definition(name)
@@ -128,14 +145,6 @@ class MaintenanceWorker:
         procs = [cluster.launch(node_build(n), name=f"build@{n}")
                  for n in range(cluster.num_nodes)]
         yield cluster.sim.all_of(procs)
-
-    def charge_build_cost(self, name: str) -> float:
-        """Run one :meth:`build_job` pass on a fresh time window and
-        return its simulated cost."""
-        assert self.cluster is not None
-        __, elapsed = self.cluster.run_job(self.build_job(name),
-                                           name=f"build:{name}")
-        return elapsed
 
     def finalize_build(self, name: str) -> bool:
         """Materialize a charged build; False while it is still incomplete.

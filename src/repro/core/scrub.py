@@ -18,8 +18,8 @@ access methods and, for each ``READY`` structure:
   verification, charged as random reads on the base file's nodes);
 * demotes failing structures (``READY -> DEGRADED``) and schedules
   repair: a checkpointed rebuild from the base file (charged through
-  :meth:`~repro.core.maintenance.MaintenanceWorker.charge_build_cost`),
-  cache invalidation, and — because a rewrite replaces the sick pages —
+  :meth:`~repro.core.maintenance.MaintenanceWorker.build_job`), cache
+  invalidation, and — because a rewrite replaces the sick pages —
   clearing the structure's corruption verdicts in the fault injector.
 
 Structures already ``DEGRADED`` or ``QUARANTINED`` (demoted by an earlier
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.catalog import StructureCatalog, StructureState
 from repro.core.maintenance import MaintenanceWorker
@@ -49,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["ScrubFinding", "ScrubReport", "ScrubWorker"]
 
 logger = logging.getLogger("repro.scrub")
+
+#: the states a repair rebuilds from
+_SICK = (StructureState.DEGRADED, StructureState.QUARANTINED)
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,13 @@ class ScrubWorker:
     ``sample_every=1`` reads every page (a full scrub); larger values
     trade detection latency for IO.  ``verify_samples`` bounds the
     per-partition index-vs-base verification once a structure is suspect.
-    Without a cluster the worker is time-free (unit-test mode).
+    Scrub and repair each run as one process generator
+    (:meth:`scrub_job`, :meth:`repair_job`): :meth:`run_once` and
+    :meth:`repair` drive them on a fresh time window, the serving
+    gateway's background lane runs them on the shared timeline.
     """
 
-    def __init__(self, catalog: StructureCatalog,
-                 cluster: Optional["Cluster"] = None,
+    def __init__(self, catalog: StructureCatalog, cluster: "Cluster",
                  sample_every: int = 1,
                  verify_samples: int = 32) -> None:
         if sample_every < 1:
@@ -129,35 +134,31 @@ class ScrubWorker:
         needs_repair: list[str] = []
         for name in self.catalog.access_methods():
             state = self.catalog.state(name)
-            if state in (StructureState.DEGRADED,
-                         StructureState.QUARANTINED):
+            if state is StructureState.READY:
+                self.cluster.run_job(self.scrub_job(name, report),
+                                     name=f"scrub:{name}")
+                state = self.catalog.state(name)
+            if state in _SICK:
                 needs_repair.append(name)
-                continue
-            if state is not StructureState.READY:
-                continue  # unbuilt structures have no pages to scrub
-            file = self.catalog.dfs.get_index(name)
-            report.structures_checked += 1
-            findings = self._scrub_structure(name, file, report)
-            if not findings:
-                continue
-            report.findings.extend(findings)
-            self._verify_structure(name, file, report)
-            self.catalog.demote(name)
-            report.demoted.append(name)
-            needs_repair.append(name)
         if repair:
             for name in needs_repair:
                 report.repair_seconds += self.repair(name)
                 report.repaired.append(name)
         return report
 
+    def repair(self, name: str) -> float:
+        """Run :meth:`repair_job` on a fresh time window; returns its
+        simulated seconds."""
+        __, elapsed = self.cluster.run_job(self.repair_job(name),
+                                           name=f"repair:{name}")
+        return elapsed
+
     def _sampled_pages(self, file: BtreeFile
                        ) -> tuple[list[PageId], dict[int, int]]:
         """The pages one scrub pass samples, plus their per-node counts."""
-        page_size = self._page_size()
         sampled: list[PageId] = []
         for pid in range(file.num_partitions):
-            pages = file.partition_page_ids(pid, page_size)
+            pages = file.partition_page_ids(pid)
             sampled.extend(pages[::self.sample_every])
         per_node: dict[int, int] = {}
         for page in sampled:
@@ -168,21 +169,12 @@ class ScrubWorker:
     def _findings(self, name: str, file: BtreeFile,
                   sampled: list[PageId]) -> list[ScrubFinding]:
         """Checksum verdicts for the sampled pages."""
-        injector = None if self.cluster is None else self.cluster.faults
+        injector = self.cluster.faults
         if injector is None:
             return []
         return [ScrubFinding(name, page) for page in sampled
                 if injector.page_corrupt(file.node_of(page.partition),
                                          page)]
-
-    def _scrub_structure(self, name: str, file: BtreeFile,
-                         report: ScrubReport) -> list[ScrubFinding]:
-        """Sample one structure's pages; return the checksum failures."""
-        sampled, per_node = self._sampled_pages(file)
-        report.pages_checked += len(sampled)
-        report.scrub_seconds += self._charge_page_reads(
-            per_node, f"scrub:{name}")
-        return self._findings(name, file, sampled)
 
     def _verify_entries(self, name: str, file: BtreeFile,
                         report: ScrubReport) -> dict[int, int]:
@@ -214,27 +206,20 @@ class ScrubWorker:
             report.entries_verified += verified
         return per_node
 
-    def _verify_structure(self, name: str, file: BtreeFile,
-                          report: ScrubReport) -> None:
-        per_node = self._verify_entries(name, file, report)
-        report.scrub_seconds += self._charge_page_reads(
-            per_node, f"verify:{name}")
-
-    # -- inline (shared-timeline) variants --------------------------------
+    # -- the process generators -------------------------------------------
 
     def scrub_job(self, name: str, report: ScrubReport):
-        """Process generator: scrub one ``READY`` structure inline.
+        """Process generator: scrub one structure; a no-op unless it is
+        ``READY``.
 
-        The serving gateway's background lane runs this on the shared
-        cluster timeline, where its page reads compete with queries for
-        the same disks (``run_once`` instead charges each structure on a
-        fresh time window).  Demotes on findings exactly like
-        ``run_once``; repair is a separate dispatch (see
-        :func:`repro.service.gateway.background_repair`), so the
-        scheduler can interleave interactive work between detection and
-        the much costlier rebuild.
+        Samples the structure's pages and, on checksum failures, runs the
+        targeted verification pass and demotes it.  Repair is a separate
+        job (:meth:`repair_job`), so the gateway's scheduler can
+        interleave interactive work between detection and the much
+        costlier rebuild.
         """
-        assert self.cluster is not None
+        if self.catalog.state(name) is not StructureState.READY:
+            return
         sim = self.cluster.sim
         file = self.catalog.dfs.get_index(name)
         report.structures_checked += 1
@@ -254,13 +239,16 @@ class ScrubWorker:
         report.scrub_seconds += sim.now - start
 
     def repair_job(self, name: str):
-        """Process generator: rebuild one sick structure inline.
+        """Process generator: rebuild one sick structure from its base
+        file; a no-op unless it is ``DEGRADED`` or ``QUARANTINED``.
 
-        The shared-timeline variant of :meth:`repair` — same checkpointed
-        rebuild, cache invalidation, and injector verdict clearing, but
-        paid on the gateway's background lane instead of a fresh window.
+        Pays the checkpointed build, rebuilds through the catalog
+        (``-> PENDING -> READY``), drops the structure's cached pages, and
+        clears its corruption verdicts in the injector — a rewrite
+        replaces the bad pages, so subsequent reads verify clean.
         """
-        assert self.cluster is not None
+        if self.catalog.state(name) not in _SICK:
+            return
         sim = self.cluster.sim
         start = sim.now
         yield from self._maintenance.build_job(name)
@@ -271,42 +259,10 @@ class ScrubWorker:
         logger.info("repaired structure %r in %.4fs simulated", name,
                     sim.now - start)
 
-    # -- repair -----------------------------------------------------------
-
-    def repair(self, name: str) -> float:
-        """Rebuild one sick structure from its base file.
-
-        Charges the checkpointed build cost, rebuilds through the catalog
-        (``-> PENDING -> READY``), drops the structure's cached pages, and
-        clears its corruption verdicts in the injector — a rewrite
-        replaces the bad pages, so subsequent reads verify clean.
-        Returns the simulated seconds spent.
-        """
-        elapsed = 0.0
-        if self.cluster is not None:
-            elapsed = self._maintenance.charge_build_cost(name)
-        self.catalog.rebuild(name)
-        if self.cluster is not None:
-            self.cluster.invalidate_cached_file(name)
-            if self.cluster.faults is not None:
-                self.cluster.faults.repair_file(name)
-        logger.info("repaired structure %r in %.4fs simulated", name,
-                    elapsed)
-        return elapsed
-
-    # -- charging ---------------------------------------------------------
-
-    def _page_size(self) -> int:
-        if self.cluster is None:
-            from repro.cluster.disk import DiskSpec
-            return DiskSpec().page_size
-        return self.cluster.node(0).disk.spec.page_size
-
     def _page_read_job(self, per_node: dict[int, int]):
         """Process generator: ``per_node`` random reads + checksum CPU,
         each node's share in parallel."""
         cluster = self.cluster
-        assert cluster is not None
 
         def node_scrub(node_id: int, pages: int):
             node = cluster.node(cluster.serving_node(node_id))
@@ -317,12 +273,3 @@ class ScrubWorker:
         procs = [cluster.launch(node_scrub(n, p), name=f"scrub@{n}")
                  for n, p in sorted(per_node.items())]
         yield cluster.sim.all_of(procs)
-
-    def _charge_page_reads(self, per_node: dict[int, int],
-                           label: str) -> float:
-        """Charge one :meth:`_page_read_job` on a fresh time window."""
-        if self.cluster is None or not per_node:
-            return 0.0
-        __, elapsed = self.cluster.run_job(self._page_read_job(per_node),
-                                           name=label)
-        return elapsed

@@ -20,7 +20,7 @@ from repro.core.job import Job
 from repro.engine.metrics import JobResult
 from repro.engine.partitioned import PartitionedEngine
 from repro.engine.reference import ReferenceExecutor
-from repro.engine.smpe import JobHandle, SmpeEngine
+from repro.engine.smpe import SmpeEngine
 from repro.errors import ExecutionError
 
 __all__ = ["ReDeExecutor"]
@@ -53,24 +53,6 @@ class ReDeExecutor:
         self.catalog = catalog
         self.config = config
         self.mode = mode
-
-    def submit_handle(self, job: Job, limit: Optional[int] = None,
-                      propagate_errors: bool = True) -> JobHandle:
-        """Launch ``job`` without driving the simulation; SMPE mode only.
-
-        Returns a :class:`~repro.engine.smpe.JobHandle` supporting
-        cooperative cancellation — the control surface the serving
-        gateway builds on.  The other modes execute synchronously and
-        have no handle to give out.
-        """
-        if self.mode != "smpe":
-            raise ExecutionError(
-                f"mode {self.mode!r} cannot submit asynchronously; "
-                "only 'smpe' supports job handles")
-        assert self.cluster is not None
-        engine = SmpeEngine(self.cluster, self.catalog, self.config)
-        return engine.submit_handle(job, limit=limit,
-                                    propagate_errors=propagate_errors)
 
     def execute(self, job: Job,
                 max_time: Optional[float] = None,

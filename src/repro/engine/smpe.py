@@ -105,14 +105,6 @@ class JobHandle:
     #: fatal exception of a non-propagating job, else None
     error: Optional[BaseException] = None
 
-    @property
-    def done(self) -> bool:
-        return self.completion.triggered
-
-    @property
-    def cancelled(self) -> bool:
-        return self.result.cancelled
-
     def cancel(self, reason: str = "cancelled by caller") -> bool:
         """Cooperatively abort the job; True if the cancel took effect.
 

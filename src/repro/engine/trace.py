@@ -49,14 +49,6 @@ class TraceEvent:
     #: the batched funnel grouped same-(file, partition) targets)
     batch_size: int = 1
 
-    @property
-    def remote(self) -> bool:
-        return self.node != self.owner_node
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def max_overlap(events: Iterable[TraceEvent]) -> int:
     """Peak number of simultaneously in-flight dereferences."""

@@ -251,13 +251,6 @@ class AdaptiveController(RuntimeFeedback):
             index_seconds=estimate.index_seconds,
             scan_seconds=estimate.scan_seconds or 0.0))
 
-    def summary(self) -> dict[str, Any]:
-        return {
-            "observed": dict(self.observed),
-            "triggered_stages": sorted(self._triggered),
-            "switches": [event.describe() for event in self.switches],
-        }
-
 
 # --------------------------------------------------------------------------
 # Canonical signatures, shared by the plan memo (engine.planned) and the

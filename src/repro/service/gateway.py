@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulation import Event
 from repro.config import DEFAULT_ENGINE_CONFIG, EngineConfig
-from repro.core.catalog import StructureCatalog, StructureState
+from repro.core.catalog import StructureCatalog
 from repro.core.job import Job
 from repro.core.maintenance import MaintenanceWorker
 from repro.core.scrub import ScrubReport, ScrubWorker
@@ -550,32 +550,24 @@ class QueryGateway:
 
 # -- background-work adapters --------------------------------------------
 #
-# The core workers (repro.core.maintenance / repro.core.scrub) expose
-# plain process generators; these adapters wrap them for the gateway's
-# background lane without the core layer ever importing the service
-# layer.
+# The core workers (repro.core.maintenance / repro.core.scrub, the ingest
+# coordinator and the compactor) expose process generators that own their
+# idempotence guards: each returns at once when its work is already done,
+# so a shed-then-resubmitted unit, or two queued copies, stay harmless.
+# These adapters only name them for the gateway's background lane,
+# without the core layer ever importing the service layer.
 
 def background_build(worker: MaintenanceWorker, name: str) -> BackgroundWork:
     """One checkpointed index build as gateway background work.
 
-    Dispatch enters (or re-enters) the BUILDING state, pays the build on
-    the shared timeline, and materializes the structure if every
-    partition checkpointed (a node crash mid-build leaves it resumable,
-    exactly like :meth:`MaintenanceWorker.run_pending`).  A no-op at
-    dispatch time if the structure is already READY — so a shed-then-
-    resubmitted build, or two queued copies, stay idempotent.
+    Runs :meth:`MaintenanceWorker.materialize_job` on the shared timeline:
+    a node crash mid-build leaves the structure resumable, exactly like
+    :meth:`MaintenanceWorker.run_pending`.
     """
     if worker.cluster is None:
         raise ExecutionError("background_build needs a clustered worker")
-
-    def make() -> Generator:
-        if worker.catalog.state(name) is StructureState.READY:
-            return
-        worker.catalog.begin_build(name)
-        yield from worker.build_job(name)
-        worker.finalize_build(name)
-
-    return BackgroundWork(name=f"build:{name}", make=make)
+    return BackgroundWork(name=f"build:{name}",
+                          make=lambda: worker.materialize_job(name))
 
 
 def background_scrub(worker: ScrubWorker, name: str,
@@ -585,63 +577,42 @@ def background_scrub(worker: ScrubWorker, name: str,
     Samples and verifies on the shared timeline and demotes on findings
     (see :meth:`ScrubWorker.scrub_job`); repair is submitted separately
     via :func:`background_repair` so the scheduler can interleave other
-    work between detection and the (much costlier) rebuild.  A no-op at
-    dispatch time unless the structure is READY.
+    work between detection and the (much costlier) rebuild.
     """
-    if worker.cluster is None:
-        raise ExecutionError("background_scrub needs a clustered worker")
-
-    def make() -> Generator:
-        if worker.catalog.state(name) is not StructureState.READY:
-            return
-        yield from worker.scrub_job(name, report)
-
-    return BackgroundWork(name=f"scrub:{name}", make=make)
+    return BackgroundWork(name=f"scrub:{name}",
+                          make=lambda: worker.scrub_job(name, report))
 
 
 def background_ingest(coordinator: "IngestCoordinator",
                       batch: "IngestBatch") -> BackgroundWork:
     """One staged micro-batch's delta flush as gateway background work.
 
-    Dispatch charges the flush on the shared timeline and commits the
-    batch's delta runs if every affected partition checkpointed (a node
-    crash mid-flush leaves the batch BUILDING with its checkpoints, so a
-    resubmitted copy pays only the remainder).  A no-op at dispatch time
-    if the batch already committed — shed-then-resubmit stays idempotent.
+    Runs :meth:`IngestCoordinator.flush_job` on the shared timeline: a
+    node crash mid-flush leaves the batch BUILDING with its checkpoints,
+    so a resubmitted copy pays only the remainder.
     """
     if coordinator.cluster is None:
         raise ExecutionError("background_ingest needs a clustered "
                              "coordinator")
-
-    def make() -> Generator:
-        if batch.committed:
-            return
-        yield from coordinator.flush_job(batch)
-
     return BackgroundWork(
-        name=f"ingest:{batch.micro.file_name}#{batch.batch_id}", make=make)
+        name=f"ingest:{batch.micro.file_name}#{batch.batch_id}",
+        make=lambda: coordinator.flush_job(batch))
 
 
 def background_compaction(compactor: "Compactor", file_name: str,
                           tier: str) -> BackgroundWork:
     """One tiered delta→base compaction as gateway background work.
 
-    A no-op at dispatch time if the runs were already folded (by an
-    earlier queued copy, or by a policy-driven inline pass), so
-    duplicate submissions are harmless; a crash mid-major-compaction
-    keeps its per-partition checkpoints in the delta registry.
+    Runs :meth:`Compactor.compaction_job` on the shared timeline; a crash
+    mid-major-compaction keeps its per-partition checkpoints in the delta
+    registry.
     """
     if compactor.cluster is None:
         raise ExecutionError("background_compaction needs a clustered "
                              "compactor")
-
-    def make() -> Generator:
-        depth = compactor.catalog.delta_depth(file_name)
-        if depth == 0 or (tier == "minor" and depth <= 1):
-            return
-        yield from compactor.compaction_job(file_name, tier)
-
-    return BackgroundWork(name=f"compact-{tier}:{file_name}", make=make)
+    return BackgroundWork(
+        name=f"compact-{tier}:{file_name}",
+        make=lambda: compactor.compaction_job(file_name, tier))
 
 
 def background_rebalance(controller: "TopologyController"
@@ -652,9 +623,11 @@ def background_rebalance(controller: "TopologyController"
     generator on the shared timeline, competing for serving slots on
     the background lane — the elasticity path's equivalent of a
     checkpointed build.  A no-op at dispatch time if placement already
-    matches the target topology (shed-then-resubmit stays idempotent),
-    and a crash mid-pass leaves the catalog consistent: a resubmitted
-    copy recomputes the diff and pays only the unmoved partitions.
+    matches the target topology: unlike the other generators,
+    :meth:`~repro.cluster.topology.Rebalancer.job` reports convergence
+    even when nothing moves, so the check lives here.  A crash mid-pass
+    leaves the catalog consistent: a resubmitted copy recomputes the
+    diff and pays only the unmoved partitions.
     """
 
     def make() -> Generator:
@@ -666,19 +639,7 @@ def background_rebalance(controller: "TopologyController"
 
 
 def background_repair(worker: ScrubWorker, name: str) -> BackgroundWork:
-    """One sick structure's rebuild as gateway background work.
-
-    A no-op at dispatch time unless the structure still needs repair
-    (DEGRADED or QUARANTINED), so duplicate or stale repair submissions
-    are harmless.
-    """
-    if worker.cluster is None:
-        raise ExecutionError("background_repair needs a clustered worker")
-
-    def make() -> Generator:
-        if worker.catalog.state(name) not in (StructureState.DEGRADED,
-                                              StructureState.QUARANTINED):
-            return
-        yield from worker.repair_job(name)
-
-    return BackgroundWork(name=f"repair:{name}", make=make)
+    """One sick structure's rebuild as gateway background work (see
+    :meth:`ScrubWorker.repair_job`)."""
+    return BackgroundWork(name=f"repair:{name}",
+                          make=lambda: worker.repair_job(name))

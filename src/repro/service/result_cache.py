@@ -374,10 +374,6 @@ class SemanticResultCache:
 
     # -- inspection ------------------------------------------------------
 
-    @property
-    def used_bytes(self) -> int:
-        return self._bytes
-
     def __len__(self) -> int:
         return len(self._lru)
 

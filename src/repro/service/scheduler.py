@@ -78,9 +78,6 @@ class FairScheduler:
             self._vtime[spec.name] = 0.0
             self.dispatched[spec.name] = 0
 
-    def known(self, tenant: str) -> bool:
-        return tenant in self._weights
-
     # -- queue state -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -90,10 +87,6 @@ class FairScheduler:
         """Queued requests held by ``tenant`` (optionally one lane)."""
         return sum(len(q) for (ln, tn), q in self._queues.items()
                    if tn == tenant and (lane is None or ln == lane))
-
-    def queued(self) -> list[QueuedRequest]:
-        """Every queued request, in no particular order (inspection)."""
-        return [item for q in self._queues.values() for item in q]
 
     # -- enqueue / dispatch ----------------------------------------------
 

@@ -210,9 +210,6 @@ class BlockStore:
     def __contains__(self, name: str) -> bool:
         return name in self._files
 
-    def names(self) -> list[str]:
-        return sorted(self._files)
-
     def file_bytes(self, name: str) -> int:
         return sum(block.nbytes for block in self.blocks(name))
 

@@ -418,14 +418,6 @@ class PartitionedFile(File):
         return fetched, [_new_page_id(PageId, (name, pid, "heap", page))
                          for page in seen]
 
-    def partition_page_ids(self, partition_id: int,
-                           page_size: int) -> list[PageId]:
-        """Every heap page of one partition — the scrub sampling universe."""
-        pid = self.partitioner.validate(partition_id)
-        heap = self.partitions[pid]
-        return [PageId(self.name, pid, "heap", page)
-                for page in range(heap.num_pages(page_size))]
-
     def scan_partition(self, partition_id: int) -> Iterator[Record]:
         heap = self.partitions[self.partitioner.validate(partition_id)]
         return heap.scan()
@@ -675,13 +667,11 @@ class BtreeFile(File):
         return fetched, [_new_page_id(PageId, (name, pid, kind, page))
                          for page, kind in seen.items()]
 
-    def partition_page_ids(self, partition_id: int,
-                           page_size: int = 0) -> list[PageId]:
+    def partition_page_ids(self, partition_id: int) -> list[PageId]:
         """Every B-tree page of one partition — the scrub sampling universe.
 
-        ``page_size`` is accepted for interface symmetry with
-        :meth:`PartitionedFile.partition_page_ids` but unused: B-tree pages
-        are identified by traversal-order node numbers, not byte offsets.
+        B-tree pages are identified by traversal-order node numbers, not
+        byte offsets, so no page size enters.
         """
         pid = self.partitioner.validate(partition_id)
         interior, leaves = self.trees[pid].all_pages()

@@ -4,13 +4,15 @@ Covers the serving state machine against a real cluster + engine: the
 zero-load bit-identity guarantee, both admission rungs, deadlines
 expiring in queue vs mid-stage, graceful degradation, fairness under a
 flooding tenant, shed-then-resubmit idempotency of background work,
+scrub and repair on the background lane beside interactive queries,
 cancellation racing a node crash mid-retry, and the exact reconciliation
 of service-level metrics with engine-level metrics.
 """
 
 import pytest
 
-from repro.cluster import Cluster, ClusterSpec, FaultPlan, NodeCrash
+from repro.cluster import (Cluster, ClusterSpec, FaultPlan, NodeCrash,
+                           PageCorruption)
 from repro.config import EngineConfig
 from repro.core import (
     AccessMethodDefinition,
@@ -21,7 +23,8 @@ from repro.core import (
     StructureCatalog,
     StructureState,
 )
-from repro.engine import SmpeEngine
+from repro.core.scrub import ScrubReport, ScrubWorker
+from repro.engine import ReDeExecutor, SmpeEngine
 from repro.errors import ExecutionError
 from repro.service import (
     BackgroundWork,
@@ -30,6 +33,8 @@ from repro.service import (
     ServiceMetrics,
     TenantSpec,
     background_build,
+    background_repair,
+    background_scrub,
 )
 from repro.storage import DistributedFileSystem
 
@@ -351,6 +356,112 @@ class TestBackgroundWork:
         assert not bg.finished  # still queued or just started
         drain(cluster, [bg])
         assert bg.state == "completed"
+
+
+    def test_running_counts_dispatched_work(self, catalog):
+        cluster, gateway = make_gateway(catalog, max_concurrent=2)
+        gateway.register(TenantSpec("maint"))
+
+        def hold():
+            yield cluster.sim.timeout(0.01)
+
+        tickets = [gateway.submit("maint", work=BackgroundWork("hold", hold))
+                   for __ in range(3)]
+        cluster.run_until(cluster.sim.timeout(0.005))
+        assert gateway.running == 2
+        assert gateway.queue_depth == 1
+        drain(cluster, tickets)
+        assert gateway.running == 0
+
+
+class TestScrubAndRepair:
+    """``background_scrub`` and ``background_repair`` run the very
+    generators ``ScrubWorker.run_once`` drives, here on the shared
+    timeline beside interactive queries."""
+
+    @staticmethod
+    def corrupt_lake():
+        dfs = DistributedFileSystem(num_nodes=NUM_NODES)
+        local = StructureCatalog(dfs)
+        records = [Record({"pk": i, "v": i % 20}) for i in range(800)]
+        local.register_file("u", records, lambda r: r["pk"])
+        for name, field in (("idx_v", "v"), ("idx_pk", "pk")):
+            local.register_access_method(AccessMethodDefinition(
+                name=name, base_file="u", interpreter=INTERP,
+                key_field=field, scope="global"))
+        plan = FaultPlan(seed=5, page_corruptions=(
+            PageCorruption("idx_v", 0.3),))
+        cluster = Cluster(ClusterSpec(num_nodes=NUM_NODES), fault_plan=plan)
+        MaintenanceWorker(local, cluster).run_pending()
+        return local, cluster
+
+    @staticmethod
+    def interactive(k):
+        # Probes the clean index only, so no query quarantines idx_v
+        # before the scrub gets to demote it.
+        return (ChainQuery(f"web{k}", interpreter=INTERP)
+                .from_index_range("idx_pk", 40 * k, 40 * k + 39, base="u")
+                .build())
+
+    def test_scrub_demotes_then_repair_restores(self):
+        local, cluster = self.corrupt_lake()
+        gateway = QueryGateway(cluster, local, max_concurrent=2)
+        gateway.register(TenantSpec("web"))
+        gateway.register(TenantSpec("maint"))
+        worker = ScrubWorker(local, cluster)
+        report = ScrubReport()
+        assert local.state("idx_v") is StructureState.READY
+
+        scrub = gateway.submit(
+            "maint", work=background_scrub(worker, "idx_v", report))
+        queries = [gateway.submit("web", self.interactive(k))
+                   for k in range(3)]
+        drain(cluster, [scrub] + queries)
+        assert scrub.state == "completed"
+        assert all(q.state == "completed" for q in queries)
+        assert all(len(q.result.rows) == 40 for q in queries)
+        assert local.state("idx_v") is StructureState.DEGRADED
+        assert report.structures_checked == 1
+        assert report.findings
+        assert {f.structure for f in report.findings} == {"idx_v"}
+        assert report.demoted == ["idx_v"]
+        assert report.entries_verified > 0
+        assert report.scrub_seconds > 0.0
+
+        # The generators own their guards: a scrub of the demoted
+        # structure, and later a repair of the healthy one, complete the
+        # instant they dispatch.
+        rescrub = gateway.submit(
+            "maint", work=background_scrub(worker, "idx_v", report))
+        repair = gateway.submit("maint",
+                                work=background_repair(worker, "idx_v"))
+        queries = [gateway.submit("web", self.interactive(k))
+                   for k in range(3, 6)]
+        drain(cluster, [rescrub, repair] + queries)
+        assert rescrub.state == "completed"
+        assert rescrub.finished_at == rescrub.dispatched_at
+        assert report.structures_checked == 1
+        assert repair.state == "completed"
+        assert repair.finished_at > repair.dispatched_at
+        assert all(q.state == "completed" for q in queries)
+        assert local.state("idx_v") is StructureState.READY
+        assert not cluster.faults.has_corruption
+
+        again = gateway.submit("maint",
+                               work=background_repair(worker, "idx_v"))
+        drain(cluster, [again])
+        assert again.state == "completed"
+        assert again.finished_at == again.dispatched_at
+
+        job = (ChainQuery("after", interpreter=INTERP)
+               .from_index_range("idx_v", 3, 7, base="u").build())
+        after = gateway.submit("web", job)
+        drain(cluster, [after])
+        reference = ReDeExecutor(None, local, mode="reference").execute(job)
+        assert after.state == "completed"
+        assert len(after.result.rows) == len(reference.rows) == 200
+        assert (sorted(row.record["pk"] for row in after.result.rows)
+                == sorted(row.record["pk"] for row in reference.rows))
 
 
 class TestCancellationUnderFaults:

@@ -4,7 +4,8 @@ Covers the acceptance contract of the ingest PR: a seeded node crash
 during a delta flush or a major compaction leaves the structure
 queryable (the interrupted work is invisible, its paid IO checkpointed)
 and a follow-up maintenance run converges to exactly the answer a
-fault-free twin lake produces; background ingest and compaction flow
+fault-free twin lake produces; a charged minor compaction answers like
+a clusterless one; background ingest and compaction flow
 through the ``QueryGateway`` without disturbing interactive queries,
 whose metrics carry a monotone freshness watermark; and a lake whose
 delta registry has seen zero batches stays bit-identical to a lake with
@@ -183,6 +184,41 @@ class TestCrashDuringCompaction:
         assert "t" not in registry.compaction_checkpoints
         assert answer(catalog) == fault_free_twin(batches, compact="major")
         assert answer(catalog) == fresh
+
+
+class TestChargedMinorCompaction:
+    def test_charged_minor_fold_answers_like_a_clusterless_one(self):
+        """A minor compaction on a cluster pays for its fold and leaves the
+        same single run, and the same answers, as a clusterless one."""
+        batches = [make_batch(1000 + 100 * i, 60, event_time=float(i + 1),
+                              upsert_pks=(i, 50 + i))
+                   for i in range(3)]
+
+        def streamed_lake():
+            catalog = build_lake()
+            coordinator = IngestCoordinator(catalog)
+            for micro in batches:
+                coordinator.flush(coordinator.stage(micro))
+            assert catalog.delta_depth("t") == 3
+            return catalog
+
+        charged, free = streamed_lake(), streamed_lake()
+        fresh = answer(charged)
+        cluster = Cluster(ClusterSpec(num_nodes=NUM_NODES))
+        compactor = Compactor(charged, cluster)
+        assert compactor.compact("t", "minor") > 0.0
+        assert compactor.minor_compactions == 1
+        assert charged.delta_depth("t") == 1
+        assert Compactor(free).compact("t", "minor") == 0.0
+        assert free.delta_depth("t") == 1
+
+        assert answer(charged) == answer(free) == fresh
+        assert fresh == fault_free_twin(batches)
+        job = (ChainQuery("probe", interpreter=INTERP)
+               .from_index_range("idx_attr", 0, 39, base="t").build())
+        served = ReDeExecutor(cluster, charged, mode="smpe").execute(job)
+        assert sorted(tuple(row.project(INTERP, FIELDS).items())
+                      for row in served.rows) == fresh
 
 
 class TestGatewayIngest:

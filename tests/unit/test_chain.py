@@ -61,6 +61,11 @@ class TestChainStructure:
         assert len(job.functions) == 1
         assert len(job.inputs) == 2
 
+    def test_chain_name_names_the_job(self):
+        chain = ChainQuery("orders_by_day").from_pointers("t", [1])
+        assert chain.name == "orders_by_day"
+        assert chain.build().name == chain.name
+
     def test_direct_join_appends_two_functions(self):
         job = (ChainQuery("q")
                .from_pointers("t", [1])

@@ -534,8 +534,9 @@ class TestScrubWorker:
 
     def test_sample_every_validated(self):
         catalog = small_catalog(num_records=20)
+        cluster = Cluster(ClusterSpec(num_nodes=2))
         with pytest.raises(StorageError):
-            ScrubWorker(catalog, sample_every=0)
+            ScrubWorker(catalog, cluster, sample_every=0)
 
     def test_clean_scrub_finds_nothing_but_pays_io(self):
         catalog, cluster = self.scrubbed_setup(rate=0.0)
