@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional,
-                    Sequence, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, NamedTuple,
+                    Optional, Sequence, Union)
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.disk import DiskSpec
@@ -60,8 +60,8 @@ from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
                                   FailureReport)
 from repro.engine.trace import TraceEvent
 from repro.errors import (DereferenceTimeout, ExecutionError, FaultError,
-                          NodeCrashed, ReproError, StructureCorruptionError,
-                          TransientIOError)
+                          JobAborted, NodeCrashed, ReproError,
+                          StructureCorruptionError, TransientIOError)
 from repro.plan.scanstage import ScanLookupDereferencer
 from repro.storage.cache import CACHE_HIT_TIME, PageId, page_checksum
 from repro.storage.files import (BtreeFile, File, PartitionedFile,
@@ -74,7 +74,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["resolve_partitions", "initial_probe_pids",
            "simulated_dereference", "recovering_dereference",
            "count_only_dereference", "batched_dereference",
-           "classify_failure", "stamp_watermark", "stamp_epoch"]
+           "classify_failure", "unit_failed", "stamp_watermark",
+           "JobWindow", "open_job_metrics", "close_job_metrics"]
 
 #: wire size (bytes) of one pointer shipped to a remote owner
 POINTER_BYTES = 64
@@ -436,6 +437,34 @@ def classify_failure(exc: BaseException) -> str:
     return "user-error"
 
 
+def unit_failed(config: EngineConfig, metrics: ExecutionMetrics,
+                failures: FailureReport, exc: BaseException, *,
+                job_name: str, stage: int, node: int,
+                partition: Optional[int],
+                now: float) -> Optional[BaseException]:
+    """The cluster engines' failure policy for one work unit beyond
+    saving (retries exhausted, user code raised, or ``on_error='fail'``).
+
+    Under ``on_error='skip'`` the unit is dropped into ``failures`` and
+    None returned.  Otherwise returns the exception that aborts the job:
+    user errors and already-wrapped exhaustion errors as themselves,
+    any other fault wrapped in :class:`~repro.errors.JobAborted`."""
+    kind = classify_failure(exc)
+    if config.on_error == "skip":
+        metrics.tasks_skipped += 1
+        failures.add(FailureRecord(
+            stage=stage, node=node, partition=partition, kind=kind,
+            error=str(exc), time=now,
+            attempts=1 if kind == "user-error" else config.max_retries + 1))
+        return None
+    if kind == "user-error" or isinstance(exc, ExecutionError):
+        return exc
+    aborted = JobAborted(f"job {job_name!r} aborted by {kind} fault on "
+                         f"node {node}: {exc}")
+    aborted.__cause__ = exc
+    return aborted
+
+
 def _trace_fault(cluster: Cluster, metrics: ExecutionMetrics, stage: int,
                  node: int, partition_id: int, kind: str) -> None:
     if metrics.trace is not None:
@@ -714,22 +743,59 @@ def stamp_watermark(metrics: ExecutionMetrics,
     metrics.freshness_watermark = registry.committed_through
 
 
-def stamp_epoch(metrics: ExecutionMetrics, cluster: "Cluster") -> None:
-    """Record the placement epoch this job is routed under.
+class JobWindow(NamedTuple):
+    """One cluster-engine job's metrics between :func:`open_job_metrics`
+    and :func:`close_job_metrics`."""
 
-    Called once per job at submission.  A no-op on static clusters (no
-    :class:`~repro.cluster.topology.TopologyController` attached), so
-    elasticity-free runs keep their metrics bit-identical to
-    pre-topology builds.  Routing itself needs no epoch check: every
-    dereference attempt re-resolves the partition's current owner, so a
-    job submitted under epoch N completes correctly against placements
-    committed at epoch N+k — the stamp records which placement the job
-    *started* under, for observability and benchmark tables.
-    """
-    topology = cluster.topology
-    if topology is None:
-        return
-    metrics.placement_epoch = topology.epoch
+    metrics: ExecutionMetrics
+    #: simulated clock at launch
+    start: float
+    #: every node's spindle-busy integral at launch
+    busy: list[float]
+
+
+def open_job_metrics(cluster: Cluster,
+                     catalog: Optional["StructureCatalog"],
+                     config: EngineConfig) -> JobWindow:
+    """Fresh metrics for one job at launch: the watermark and the
+    placement epoch it runs under, a trace when tracing, and the clock
+    and spindle snapshots its window starts from.
+
+    The epoch stays None on static clusters (no
+    :class:`~repro.cluster.topology.TopologyController`).  Routing itself
+    needs no epoch check: every dereference attempt re-resolves the
+    partition's current owner, so the stamp only records which placement
+    the job *started* under."""
+    metrics = ExecutionMetrics()
+    stamp_watermark(metrics, catalog)
+    if cluster.topology is not None:
+        metrics.placement_epoch = cluster.topology.epoch
+    if config.trace:
+        metrics.trace = []
+    return JobWindow(metrics, cluster.sim.now,
+                     [node.disk.spindle_busy_snapshot()
+                      for node in cluster.nodes])
+
+
+def close_job_metrics(cluster: Cluster, window: JobWindow,
+                      results: list, limit: Optional[int],
+                      peak_parallelism: int) -> None:
+    """Finish one job's metrics at completion: elapsed time, peak
+    parallelism, the mean fraction of spindles busy over the window, and
+    ``results`` trimmed to ``limit``."""
+    metrics = window.metrics
+    end = cluster.sim.now
+    metrics.elapsed_seconds = end - window.start
+    metrics.peak_parallelism = peak_parallelism
+    if limit is not None and len(results) > limit:
+        del results[limit:]
+    if end > window.start:
+        span = end - window.start
+        metrics.disk_utilization = sum(
+            (node.disk.spindle_busy_snapshot() - snap)
+            / (node.disk.spindle_count * span)
+            for node, snap in zip(cluster.nodes, window.busy)
+        ) / cluster.num_nodes
 
 
 def recovering_dereference(cluster: Cluster, config: EngineConfig,

@@ -11,17 +11,25 @@ before filtering — that is what costs an IO.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Optional, Sequence
 
 from repro.core.job import OutputRow
 
 __all__ = ["ExecutionMetrics", "FailureRecord", "FailureReport", "JobResult"]
 
+#: merge rules a field may declare; undeclared fields sum.  Under ``max``
+#: and ``min`` a ``None`` side is absent; ``job`` fields never fold.
+_MAX = {"merge": "max"}
+_MIN = {"merge": "min"}
+_JOB = {"merge": "job"}
+
 
 @dataclass
 class ExecutionMetrics:
-    """Counters accumulated while executing one job."""
+    """Counters accumulated while executing one job; each field declares
+    how :meth:`merge` folds it across jobs, and :meth:`summary` derives
+    from the same declaration."""
 
     #: records fetched from storage, pre-filter (index entries + base rows)
     record_accesses: int = 0
@@ -48,12 +56,12 @@ class ExecutionMetrics:
     #: records fetched per stage index
     stage_record_accesses: Counter = field(default_factory=Counter)
     #: peak concurrent pool threads observed across all nodes
-    peak_parallelism: int = 0
+    peak_parallelism: int = field(default=0, metadata=_MAX)
     #: simulated seconds from job launch to completion
     elapsed_seconds: float = 0.0
     #: mean fraction of disk spindles busy during the run (0..1) — how
     #: close the engine came to the IOPS capacity SMPE is built to exploit
-    disk_utilization: float = 0.0
+    disk_utilization: float = field(default=0.0, metadata=_JOB)
     #: transient IO / network faults the engine observed (pre-retry)
     transient_faults: int = 0
     #: dereference invocations abandoned by the per-invocation timeout
@@ -64,8 +72,9 @@ class ExecutionMetrics:
     reroutes: int = 0
     #: work units dropped under ``on_error='skip'`` (see the FailureReport)
     tasks_skipped: int = 0
-    #: node crashes observed while this job was running
-    node_crashes: int = 0
+    #: node crashes observed while this job was running (folded: the most
+    #: any one job observed, since concurrent jobs see the same crash)
+    node_crashes: int = field(default=0, metadata=_MAX)
     #: structure-page checksum failures detected during probes
     corruptions_detected: int = 0
     #: structures withdrawn from service mid-job after a checksum failure
@@ -80,11 +89,12 @@ class ExecutionMetrics:
     #: base records or delta payloads dropped by newest-wins upserts
     delta_superseded: int = 0
     #: ingest event-time watermark this job observed at submission
-    #: (None on static lakes or before the first committed batch)
-    freshness_watermark: Optional[float] = None
+    #: (None on static lakes or before the first committed batch; folded:
+    #: the stalest answer served)
+    freshness_watermark: Optional[float] = field(default=None, metadata=_MIN)
     #: placement epoch the job was routed under at submission (None on
-    #: static clusters — only set when a TopologyController is attached)
-    placement_epoch: Optional[int] = None
+    #: static clusters; folded: the newest epoch)
+    placement_epoch: Optional[int] = field(default=None, metadata=_MAX)
     #: jobs answered entirely from the semantic result cache (tier B);
     #: set on the fresh metrics a cache-served ticket carries
     result_cache_hits: int = 0
@@ -99,7 +109,7 @@ class ExecutionMetrics:
     #: denominator: a dispatch of 3 probes at batch_size=64 adds 64 here)
     batched_capacity: int = 0
     #: per-dereference timeline events when tracing is enabled, else None
-    trace: Any = None
+    trace: Any = field(default=None, metadata=_JOB)
 
     def count_fetch(self, stage: int, num_records: int, is_index: bool,
                     random_reads: int) -> None:
@@ -152,56 +162,37 @@ class ExecutionMetrics:
         else:
             self.transient_faults += 1
 
-    def summary(self) -> dict[str, Any]:
-        """Flat dict view for reports and benchmark tables.
+    def merge(self, other: "ExecutionMetrics") -> None:
+        """Fold ``other`` (another job's metrics) into these, each field
+        under its declared rule."""
+        for name, rule in _FOLDED:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if rule == "sum":
+                setattr(self, name, mine + theirs)
+            elif mine is None or theirs is None:
+                setattr(self, name, theirs if mine is None else mine)
+            else:
+                setattr(self, name, max(mine, theirs) if rule == "max"
+                        else min(mine, theirs))
 
-        Batch keys appear only when at least one batched dispatch ran,
-        so per-record (``batch_size=1``) runs keep the exact key set —
-        and therefore the exact rendered reports — of the pre-batching
-        engines.
-        """
-        out = {
-            "record_accesses": self.record_accesses,
-            "index_entry_accesses": self.index_entry_accesses,
-            "base_record_accesses": self.base_record_accesses,
-            "random_reads": self.random_reads,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "scan_stage_builds": self.scan_stage_builds,
-            "scan_stage_bytes": self.scan_stage_bytes,
-            "remote_fetches": self.remote_fetches,
-            "bytes_transferred": self.bytes_transferred,
-            "peak_parallelism": self.peak_parallelism,
-            "elapsed_seconds": self.elapsed_seconds,
-            "transient_faults": self.transient_faults,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "reroutes": self.reroutes,
-            "tasks_skipped": self.tasks_skipped,
-            "node_crashes": self.node_crashes,
-            "corruptions_detected": self.corruptions_detected,
-            "quarantines": self.quarantines,
-            "corruption_fallbacks": self.corruption_fallbacks,
-            "delta_probes": self.delta_probes,
-            "delta_entries": self.delta_entries,
-            "delta_superseded": self.delta_superseded,
-            "freshness_watermark": self.freshness_watermark,
-        }
-        if self.placement_epoch is not None:
-            out["placement_epoch"] = self.placement_epoch
-        # Cache counters appear only when a result cache served anything,
-        # so cacheless runs keep the exact pre-cache key set.
-        if self.result_cache_hits:
-            out["result_cache_hits"] = self.result_cache_hits
-        if self.scan_table_cache_hits:
-            out["scan_table_cache_hits"] = self.scan_table_cache_hits
-        if self.batches:
-            out["batches"] = self.batches
-            out["batched_probes"] = self.batched_probes
-            out["batch_fill"] = round(self.batch_fill, 4)
-            out["amortized_reads_per_record"] = round(
-                self.amortized_reads_per_record, 4)
+    def summary(self) -> dict[str, Any]:
+        """Flat dict view: every folded scalar field in declaration order,
+        then the two rounded ratios."""
+        out = {name: getattr(self, name) for name in _SCALARS}
+        out["batch_fill"] = round(self.batch_fill, 4)
+        out["amortized_reads_per_record"] = round(
+            self.amortized_reads_per_record, 4)
         return out
+
+
+_FOLDED_FIELDS = [f for f in fields(ExecutionMetrics)
+                  if f.metadata.get("merge") != "job"]
+#: ``(name, rule)`` of every field :meth:`ExecutionMetrics.merge` folds
+_FOLDED = tuple((f.name, f.metadata.get("merge", "sum"))
+                for f in _FOLDED_FIELDS)
+#: the folded scalars (the per-stage Counters have a default factory)
+_SCALARS = tuple(f.name for f in _FOLDED_FIELDS
+                 if f.default_factory is MISSING)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,11 @@ from repro.core.functions import Dereferencer, Referencer
 from repro.core.job import Job, OutputRow
 from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
-from repro.engine.access import (classify_failure, initial_probe_pids,
-                                 recovering_dereference,
-                                 resolve_partitions, stamp_epoch,
-                                 stamp_watermark)
-from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
-                                  FailureReport, JobResult)
-from repro.errors import ExecutionError, JobAborted
+from repro.engine.access import (close_job_metrics, initial_probe_pids,
+                                 open_job_metrics, recovering_dereference,
+                                 resolve_partitions, unit_failed)
+from repro.engine.metrics import ExecutionMetrics, FailureReport, JobResult
+from repro.errors import ExecutionError
 from repro.storage.files import PartitionedFile
 
 __all__ = ["PartitionedEngine"]
@@ -55,11 +53,8 @@ class PartitionedEngine:
     def execute(self, job: Job,
                 max_time: Optional[float] = None,
                 limit: Optional[int] = None) -> JobResult:
-        metrics = ExecutionMetrics()
-        stamp_watermark(metrics, self.catalog)
-        stamp_epoch(metrics, self.cluster)
-        if self.config.trace:
-            metrics.trace = []
+        window = open_job_metrics(self.cluster, self.catalog, self.config)
+        metrics = window.metrics
         results: list[OutputRow] = []
         failures = FailureReport()
         recovery: dict = {}
@@ -72,9 +67,6 @@ class PartitionedEngine:
                 for node_id in range(self.cluster.num_nodes)]
             yield self.cluster.sim.all_of(workers)
 
-        start = self.cluster.sim.now
-        busy_snaps = [node.disk.spindle_busy_snapshot()
-                      for node in self.cluster.nodes]
         listener = None
         if (self.cluster.faults is not None
                 or self.cluster.topology is not None):
@@ -89,30 +81,20 @@ class PartitionedEngine:
                     metrics.node_crashes += 1
             self.cluster.on_node_crash(listener)
         try:
-            __, elapsed = self.cluster.run_job(
+            self.cluster.run_job(
                 job_process(), name=f"partitioned:{job.name}",
                 max_time=max_time or self.config.max_sim_time)
         finally:
             if listener is not None:
                 self.cluster.remove_crash_listener(listener)
-        metrics.elapsed_seconds = elapsed
-        metrics.peak_parallelism = self.cluster.num_nodes
-        if limit is not None and len(results) > limit:
-            del results[limit:]
-        end = self.cluster.sim.now
-        if end > start:
-            window = end - start
-            metrics.disk_utilization = sum(
-                (node.disk.spindle_busy_snapshot() - snap)
-                / (node.disk.spindle_count * window)
-                for node, snap in zip(self.cluster.nodes, busy_snaps)
-            ) / self.cluster.num_nodes
+        close_job_metrics(self.cluster, window, results, limit,
+                          self.cluster.num_nodes)
         return JobResult(results, metrics, failure_report=failures)
 
-
-    def _deref(self, metrics: ExecutionMetrics, failures: FailureReport,
-               recovery: dict, stage: int, function: Dereferencer, file,
-               probes, pid: int, node_id: int):
+    def _deref(self, job: Job, metrics: ExecutionMetrics,
+               failures: FailureReport, recovery: dict, stage: int,
+               function: Dereferencer, file, probes, pid: int,
+               node_id: int):
         """One policy-governed dereference of ``probes`` (``(target,
         context)`` pairs) against ``pid``; returns one record list per
         probe.  The call is the failure unit: under ``on_error='skip'``
@@ -124,20 +106,13 @@ class PartitionedEngine:
                 probes, pid, node_id, catalog=self.catalog,
                 failures=failures, runtime=recovery)
         except Exception as exc:
-            kind = classify_failure(exc)
-            if self.config.on_error == "skip":
-                metrics.tasks_skipped += 1
-                failures.add(FailureRecord(
-                    stage=stage, node=node_id, partition=pid, kind=kind,
-                    error=str(exc), time=self.cluster.sim.now,
-                    attempts=1 if kind == "user-error"
-                    else self.config.max_retries + 1))
-                return [[] for __ in probes]
-            if kind == "user-error" or isinstance(exc, ExecutionError):
-                raise
-            raise JobAborted(
-                f"job aborted by {kind} fault on node {node_id}: "
-                f"{exc}") from exc
+            fatal = unit_failed(self.config, metrics, failures, exc,
+                                job_name=job.name, stage=stage,
+                                node=node_id, partition=pid,
+                                now=self.cluster.sim.now)
+            if fatal is not None:
+                raise fatal
+            return [[] for __ in probes]
         return outputs
 
     def _node_worker(self, job: Job, metrics: ExecutionMetrics,
@@ -213,8 +188,8 @@ class PartitionedEngine:
                 for i in range(0, len(probes), batch_size):
                     chunk = probes[i:i + batch_size]
                     outputs = yield from self._deref(
-                        metrics, failures, recovery, stage, function, file,
-                        chunk, pid, node_id)
+                        job, metrics, failures, recovery, stage, function,
+                        file, chunk, pid, node_id)
                     for (__, context), records in zip(chunk, outputs):
                         frontier += zip(records, repeat(context))
             stage += 1

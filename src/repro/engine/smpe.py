@@ -71,13 +71,11 @@ from repro.core.functions import Dereferencer, Referencer
 from repro.core.job import Job, OutputRow
 from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
-from repro.engine.access import (classify_failure, initial_probe_pids,
-                                 recovering_dereference,
-                                 resolve_partitions, stamp_epoch,
-                                 stamp_watermark)
-from repro.engine.metrics import (ExecutionMetrics, FailureRecord,
-                                  FailureReport, JobResult)
-from repro.errors import ExecutionError, JobAborted, NodeCrashed
+from repro.engine.access import (close_job_metrics, initial_probe_pids,
+                                 open_job_metrics, recovering_dereference,
+                                 resolve_partitions, unit_failed)
+from repro.engine.metrics import ExecutionMetrics, FailureReport, JobResult
+from repro.errors import ExecutionError, NodeCrashed
 
 __all__ = ["JobHandle", "SmpeEngine"]
 
@@ -206,11 +204,8 @@ class SmpeEngine:
         of the simulation loop; it lands on ``handle.error`` instead, so
         one tenant's failing job cannot crash a multi-job drive loop.
         """
-        metrics = ExecutionMetrics()
-        stamp_watermark(metrics, self.catalog)
-        stamp_epoch(metrics, self.cluster)
-        if self.config.trace:
-            metrics.trace = []
+        window = open_job_metrics(self.cluster, self.catalog, self.config)
+        metrics = window.metrics
         results: list[OutputRow] = []
         sim = self.cluster.sim
         done = sim.event()
@@ -223,9 +218,6 @@ class SmpeEngine:
         state = _RunState(job, metrics, results, tracker, queues, pools,
                           FailureReport(), limit=limit,
                           propagate_errors=propagate_errors)
-        start = sim.now
-        busy_snaps = [node.disk.spindle_busy_snapshot()
-                      for node in self.cluster.nodes]
 
         listener = None
         if (self.cluster.faults is not None
@@ -251,7 +243,8 @@ class SmpeEngine:
             yield sim.all_of(node_procs)
             if listener is not None:
                 self.cluster.remove_crash_listener(listener)
-            self._finalize(state, start, busy_snaps, pools)
+            close_job_metrics(self.cluster, window, results, limit,
+                              sum(pool.max_in_use for pool in pools))
             if state.aborted is not None:
                 if not state.propagate_errors:
                     handle.error = state.aborted
@@ -264,23 +257,6 @@ class SmpeEngine:
                                          name=f"smpe:{job.name}")
         handle = JobHandle(job, completion, result, self, state)
         return handle
-
-    def _finalize(self, state: "_RunState", start: float,
-                  busy_snaps: list, pools: list) -> None:
-        """Fill in the run-level metrics at completion time."""
-        metrics = state.metrics
-        end = self.cluster.sim.now
-        metrics.elapsed_seconds = end - start
-        metrics.peak_parallelism = sum(pool.max_in_use for pool in pools)
-        if state.limit is not None and len(state.results) > state.limit:
-            del state.results[state.limit:]
-        if end > start:
-            window = end - start
-            metrics.disk_utilization = sum(
-                (node.disk.spindle_busy_snapshot() - snap)
-                / (node.disk.spindle_count * window)
-                for node, snap in zip(self.cluster.nodes, busy_snaps)
-            ) / self.cluster.num_nodes
 
     def execute(self, job: Job,
                 max_time: Optional[float] = None,
@@ -314,25 +290,12 @@ class SmpeEngine:
                      partition: Optional[int], exc: BaseException) -> None:
         """One work unit is beyond saving (retries exhausted, user code
         raised, or ``on_error='fail'``): apply the failure policy."""
-        kind = classify_failure(exc)
-        if self.config.on_error == "skip":
-            state.metrics.tasks_skipped += 1
-            state.failures.add(FailureRecord(
-                stage=stage, node=node_id, partition=partition, kind=kind,
-                error=str(exc), time=self.cluster.sim.now,
-                attempts=1 if kind == "user-error"
-                else self.config.max_retries + 1))
-            return
-        if kind == "user-error" or isinstance(exc, ExecutionError):
-            # Application errors and already-wrapped exhaustion errors
-            # propagate as themselves.
-            self._abort(state, exc)
-        else:
-            aborted = JobAborted(
-                f"job {state.job.name!r} aborted by {kind} fault on node "
-                f"{node_id}: {exc}")
-            aborted.__cause__ = exc
-            self._abort(state, aborted)
+        fatal = unit_failed(self.config, state.metrics, state.failures, exc,
+                            job_name=state.job.name, stage=stage,
+                            node=node_id, partition=partition,
+                            now=self.cluster.sim.now)
+        if fatal is not None:
+            self._abort(state, fatal)
 
     def _on_node_crash(self, state: "_RunState", dead: int) -> None:
         """Crash listener: hand the dead node's pending queue to the

@@ -278,7 +278,7 @@ class QueryGateway:
                 ticket.result = JobResult(list(rows), metrics)
                 tracker.queue_waits.append(0.0)
                 tracker.note_completion(now, now)
-                tracker.merge_engine(metrics)
+                tracker.engine.merge(metrics)
                 self._decide("cache-hit", ticket, None)
                 ticket.done.succeed()
                 return ticket
@@ -433,7 +433,7 @@ class QueryGateway:
         if (self.result_cache is not None and ticket.job is not None
                 and handle.result is not None):
             self._cache_finish(ticket, handle.result)
-        tracker.merge_engine(handle.result.metrics)
+        tracker.engine.merge(handle.result.metrics)
         self._release(ticket)
 
     def _cache_finish(self, ticket: ServiceTicket,
@@ -526,16 +526,13 @@ class QueryGateway:
         return self._running
 
     def engine_totals(self) -> ExecutionMetrics:
-        """Sum of every tenant's aggregated engine counters.
-
-        Reconciles with the engine side: this equals the field-wise sum
-        of the :class:`ExecutionMetrics` of every job the gateway
-        finished (completed, cancelled mid-stage, or failed).
-        """
-        totals = ServiceMetrics(tenant="__all__")
+        """Every tenant's engine ledger folded into one: equals the
+        :meth:`ExecutionMetrics.merge` fold of every job the gateway
+        finished (completed, cancelled mid-stage, or failed)."""
+        totals = ExecutionMetrics()
         for tracker in self.metrics.values():
-            totals.merge_engine(tracker.engine)
-        return totals.engine
+            totals.merge(tracker.engine)
+        return totals
 
     def summary(self) -> dict[str, dict[str, Any]]:
         """Per-tenant metric summaries, keyed by tenant name."""

@@ -5,8 +5,10 @@ from the gateway: its weighted-fair share and the depth of queue it may
 hold.  A :class:`ServiceMetrics` is the per-tenant ledger every gateway
 decision and completion lands in — the serving-side analogue of the
 engines' :class:`~repro.engine.metrics.ExecutionMetrics`, which it also
-aggregates (one sum per tenant across that tenant's completed jobs), so
-service-level accounting reconciles exactly with engine-level accounting.
+aggregates: ``engine`` folds each of the tenant's finished jobs in with
+:meth:`~repro.engine.metrics.ExecutionMetrics.merge`, under the merge
+rule each field declares, so service-level accounting reconciles exactly
+with engine-level accounting.
 """
 
 from __future__ import annotations
@@ -71,10 +73,11 @@ class ServiceMetrics:
 
     Counters cover the full admission -> schedule -> execute -> shed state
     machine; latency and queue-wait samples feed the percentile views.
-    ``engine`` accumulates the :class:`ExecutionMetrics` of every job that
+    ``engine`` folds in the :class:`ExecutionMetrics` of every job that
     *finished* under this tenant (completed, deadline-cancelled mid-stage,
-    or failed — work that touched the engines), so summing it across
-    tenants reproduces the engine-side totals exactly.
+    or failed — work that touched the engines) with
+    :meth:`ExecutionMetrics.merge`, so folding it across tenants
+    reproduces the engine-side totals exactly.
     """
 
     tenant: str = ""
@@ -105,7 +108,7 @@ class ServiceMetrics:
     #: earliest arrival and latest completion, for goodput
     first_arrival: Optional[float] = None
     last_completion: Optional[float] = None
-    #: aggregated engine counters of this tenant's finished jobs
+    #: this tenant's finished jobs, folded by ``ExecutionMetrics.merge``
     engine: ExecutionMetrics = field(default_factory=ExecutionMetrics)
 
     def note_arrival(self, now: float) -> None:
@@ -117,33 +120,6 @@ class ServiceMetrics:
         self.completed += 1
         self.latencies.append(now - arrival)
         self.last_completion = now
-
-    def merge_engine(self, metrics: ExecutionMetrics) -> None:
-        """Fold one finished job's engine counters into the tenant sum."""
-        mine = self.engine
-        for key, value in metrics.summary().items():
-            if key == "placement_epoch":
-                # An epoch is an identifier, not a counter: keep the
-                # newest placement any of this tenant's jobs ran under.
-                mine.placement_epoch = max(mine.placement_epoch or 0,
-                                           value)
-            elif key == "peak_parallelism":
-                # A per-job peak: the tenant's peak is the largest one.
-                mine.peak_parallelism = max(mine.peak_parallelism, value)
-            elif key == "freshness_watermark":
-                # A watermark is an identifier too: the tenant-level
-                # value is the *stalest* answer any of its jobs served
-                # (min over contributing jobs), never a sum.
-                if value is not None:
-                    mine.freshness_watermark = (
-                        value if mine.freshness_watermark is None
-                        else min(mine.freshness_watermark, value))
-            elif isinstance(value, int):
-                setattr(mine, key, getattr(mine, key) + value)
-        mine.elapsed_seconds += metrics.elapsed_seconds
-        # summary() reports the fill ratio, not its denominator: fold the
-        # capacity itself so the merged batch_fill stays probes/capacity.
-        mine.batched_capacity += metrics.batched_capacity
 
     # -- views -----------------------------------------------------------
 

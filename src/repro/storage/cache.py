@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple, Optional
 
 from repro.errors import StorageError
@@ -110,18 +110,10 @@ class CacheStats:
         return self.hits_by_kind[kind] / total if total else 0.0
 
     def merged(self, other: "CacheStats") -> "CacheStats":
-        """This snapshot combined with another (cluster-level rollup)."""
-        return CacheStats(
-            capacity_bytes=self.capacity_bytes + other.capacity_bytes,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            resident_pages=self.resident_pages + other.resident_pages,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            invalidations=self.invalidations + other.invalidations,
-            hits_by_kind=self.hits_by_kind + other.hits_by_kind,
-            misses_by_kind=self.misses_by_kind + other.misses_by_kind,
-        )
+        """This snapshot combined with another (cluster-level rollup):
+        every field sums."""
+        return CacheStats(**{f.name: getattr(self, f.name)
+                             + getattr(other, f.name) for f in fields(self)})
 
     @classmethod
     def aggregate(cls, snapshots: Iterable["CacheStats"]) -> "CacheStats":

@@ -502,8 +502,9 @@ class TestCancellationUnderFaults:
 class TestReconciliation:
     def test_engine_totals_match_per_job_sums(self, catalog):
         """Service-level accounting reconciles exactly with the engine:
-        the gateway's aggregated counters equal the field-wise sum over
-        every finished job's ExecutionMetrics."""
+        the gateway's aggregated counters equal the fold, under each
+        field's declared merge rule, of every finished job's
+        ExecutionMetrics."""
         cluster, gateway = make_gateway(catalog, max_concurrent=2)
         gateway.register(TenantSpec("a"))
         gateway.register(TenantSpec("b", weight=2.0))
@@ -518,7 +519,7 @@ class TestReconciliation:
             # and contributes nothing; every dispatched job contributes
             # its full ExecutionMetrics (even if deadline-cancelled).
             if t.result is not None:
-                acc.merge_engine(t.result.metrics)
+                acc.engine.merge(t.result.metrics)
         assert any(t.state in ("expired", "cancelled") for t in tickets)
         assert gateway.engine_totals().summary() == acc.engine.summary()
 
@@ -537,6 +538,23 @@ class TestReconciliation:
         assert totals.batched_capacity == job.batched_capacity
         assert totals.batch_fill == job.batch_fill
         assert totals.summary()["batch_fill"] == job.summary()["batch_fill"]
+
+    def test_one_crash_seen_by_concurrent_jobs_counts_once(self, catalog):
+        """Two concurrent jobs both observe the same node crash; the
+        folded ledger reports the most crashes any one job saw, not one
+        per job."""
+        plan = FaultPlan(seed=3, node_crashes=(NodeCrash(3, 0.004),))
+        cluster = Cluster(ClusterSpec(num_nodes=NUM_NODES),
+                          fault_plan=plan)
+        gateway = QueryGateway(cluster, catalog,
+                               EngineConfig(on_error="retry"),
+                               max_concurrent=2)
+        gateway.register(TenantSpec("t"))
+        tickets = [gateway.submit("t", make_job(k)) for k in range(2)]
+        drain(cluster, tickets)
+        assert [t.state for t in tickets] == ["completed"] * 2
+        assert [t.result.metrics.node_crashes for t in tickets] == [1, 1]
+        assert gateway.engine_totals().node_crashes == 1
 
     def test_summary_reports_every_tenant(self, catalog):
         cluster, gateway = make_gateway(catalog)

@@ -25,11 +25,13 @@ decorator line when the function is decorated; a definition matches on
 either.  Nested functions count as definitions of their own; lambdas do
 not.
 
-Use CPython 3.11: from 3.12 on, :mod:`cProfile` sits on
-:mod:`sys.monitoring`, which refuses the second profiler that
-``tests/unit/test_call_budget.py`` starts.  On 3.11 that second profiler
-silently replaces this one, so the plugin re-enables its own before and
-after every test.  Only the thread that starts the session is profiled.
+Before CPython 3.12, :mod:`cProfile` and ``sys.setprofile`` share one
+hook, so the call counter that ``tests/unit/test_call_budget.py`` installs
+displaces this profiler; the plugin re-enables its own before and after
+every test there.  From 3.12 on, :mod:`cProfile` sits on
+:mod:`sys.monitoring` beside ``sys.setprofile`` and refuses a second
+``enable()``, so the plugin leaves its profiler alone.  Only the thread
+that starts the session is profiled.
 """
 
 from __future__ import annotations
@@ -131,10 +133,15 @@ class Recorder:
         self.profile.enable()
 
     def pytest_runtest_setup(self, item) -> None:
-        self.profile.enable()
+        self.reclaim()
 
     def pytest_runtest_teardown(self, item) -> None:
-        self.profile.enable()
+        self.reclaim()
+
+    def reclaim(self) -> None:
+        """Re-enable the profiler where ``sys.setprofile`` displaces it."""
+        if sys.version_info < (3, 12):
+            self.profile.enable()
 
     def pytest_sessionfinish(self, session) -> None:
         self.profile.disable()

@@ -4,10 +4,27 @@ The gate runs in CI under a profiler; these tests keep its allow-list and
 its matching honest in the ordinary suite.
 """
 
-import cProfile
+import json
+import os
+import subprocess
+import sys
 
+from tests import never_run
+
+#: profiles one property read in a fresh interpreter, which may start its
+#: own profiler even while the gate's plugin profiles this session
+PROFILED_SNIPPET = """
+import cProfile, json
 from repro.core.scrub import ScrubReport
 from tests import never_run
+profile = cProfile.Profile()
+profile.enable()
+try:
+    ScrubReport().clean
+finally:
+    profile.disable()
+print(json.dumps(sorted(never_run.ran_in(profile))))
+"""
 
 
 def test_allow_list_entries_name_definitions_and_give_reasons():
@@ -33,13 +50,13 @@ def test_definitions_see_methods_nested_functions_and_decorators():
 def test_a_profiled_call_marks_its_definition_run():
     """A property's code object starts at its decorator line; the gate
     must still match it to its ``def``."""
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        ScrubReport().clean
-    finally:
-        profile.disable()
-    ran = never_run.ran_in(profile)
+    path = os.pathsep.join([str(never_run.REPO / "src"), str(never_run.REPO),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", PROFILED_SNIPPET], cwd=never_run.REPO,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, check=True).stdout
+    ran = {(where, line) for where, line in json.loads(out)}
     unrun = {d.qualname for d in never_run.never_run(ran)
              if d.path == "src/repro/core/scrub.py"}
     assert "ScrubReport.clean" not in unrun

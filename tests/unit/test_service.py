@@ -89,8 +89,8 @@ class TestServiceMetrics:
         one = ExecutionMetrics()
         one.record_accesses = 10
         one.elapsed_seconds = 0.5
-        m.merge_engine(one)
-        m.merge_engine(one)
+        m.engine.merge(one)
+        m.engine.merge(one)
         assert m.engine.record_accesses == 20
         assert m.engine.elapsed_seconds == pytest.approx(1.0)
 
@@ -101,11 +101,11 @@ class TestServiceMetrics:
         fresh, stale = ExecutionMetrics(), ExecutionMetrics()
         fresh.freshness_watermark = 7.0
         stale.freshness_watermark = 3.0
-        m.merge_engine(fresh)
+        m.engine.merge(fresh)
         assert m.engine.freshness_watermark == 7.0
-        m.merge_engine(stale)
+        m.engine.merge(stale)
         assert m.engine.freshness_watermark == 3.0
-        m.merge_engine(fresh)  # a fresher later job never raises it
+        m.engine.merge(fresh)  # a fresher later job never raises it
         assert m.engine.freshness_watermark == 3.0
 
     def test_merge_engine_keeps_largest_peak_parallelism(self):
@@ -114,17 +114,17 @@ class TestServiceMetrics:
         for peak in (5, 7):
             job = ExecutionMetrics()
             job.peak_parallelism = peak
-            m.merge_engine(job)
+            m.engine.merge(job)
         assert m.engine.peak_parallelism == 7
 
     def test_merge_engine_keeps_batch_fill(self):
-        """summary() emits the fill ratio but not its capacity
-        denominator; the merge must still fold the capacity as a sum."""
+        """The fill ratio is derived, so the merge must fold its capacity
+        denominator as a sum."""
         m = ServiceMetrics(tenant="t")
         for probes in (3, 13):
             job = ExecutionMetrics()
             job.count_batch(probes, 16)
-            m.merge_engine(job)
+            m.engine.merge(job)
         assert m.engine.batches == 2
         assert m.engine.batched_probes == 16
         assert m.engine.batched_capacity == 32
