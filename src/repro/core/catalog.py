@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from operator import methodcaller
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.interpreters import Interpreter
 from repro.core.pointers import PointerKind
@@ -145,6 +146,17 @@ class AccessMethodDefinition:
         if isinstance(keys, list):
             return keys
         return [keys]
+
+    def keys_batch(self, records: Sequence[Record]) -> list[Any]:
+        """Per record, the raw answer :meth:`extract_keys` normalizes: a
+        key, a list of keys, or None.  A ``key_field`` is read off one
+        ``interpret_batch`` of the whole batch (the batch path
+        :func:`~repro.storage.files.index_buckets` takes)."""
+        if self.key_fn is not None:
+            return list(map(self.key_fn, records))
+        assert self.interpreter is not None and self.key_field is not None
+        return list(map(methodcaller("get", self.key_field),
+                        self.interpreter.interpret_batch(records)))
 
 
 class StructureCatalog:
@@ -444,7 +456,7 @@ class StructureCatalog:
                 definition.name, base_file, definition.scope,
                 num_partitions=definition.num_partitions,
                 order=definition.order, partitioner=partitioner)
-            targets.append((index, definition.extract_keys))
+            targets.append((index, definition.keys_batch))
         self.dfs.build_indexes(base_file, targets)
 
     def _range_partitioner_for(self, definition: AccessMethodDefinition):

@@ -15,7 +15,7 @@ from typing import Any
 
 from repro.core.pointers import Pointer
 
-__all__ = ["Record", "estimate_size"]
+__all__ = ["Record", "estimate_size", "fixed_row_size"]
 
 _SCALAR_SIZES = {int: 8, float: 8, bool: 1, type(None): 0}
 
@@ -56,6 +56,23 @@ def estimate_size(value: Any) -> int:
     if isinstance(value, (list, tuple, set, frozenset)):
         return sum(estimate_size(item) for item in value) + 8
     return 16  # opaque object: a fixed nominal footprint
+
+
+def fixed_row_size(row: dict) -> int:
+    """``estimate_size(row)`` less the lengths of its text values: what
+    every row of ``row``'s shape adds to its own text lengths.
+
+    A producer of many rows of one shape sizes each as this plus its
+    text lengths, and hands the sum to :class:`Record`.  Raises
+    ``ValueError`` unless the row is flat (text keys; text, number, bool
+    or None values).
+    """
+    if not all(type(key) is str for key in row) or not all(
+            type(item) is str or type(item) in _SCALAR_SIZES
+            for item in row.values()):
+        raise ValueError("only a flat row has a fixed size")
+    return estimate_size(row) - sum(
+        len(item) for item in row.values() if type(item) is str)
 
 
 class Record:

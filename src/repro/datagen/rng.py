@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import datetime
 import random
+from typing import Callable
 
-__all__ = ["make_rng", "random_phrase", "date_range_days", "add_days",
-           "zipf_sampler", "WORDS"]
+__all__ = ["make_rng", "make_below", "random_phrase", "date_range_days",
+           "add_days", "iso_days", "zipf_sampler", "WORDS"]
 
 #: A small neutral corpus for text columns (TPC-H-flavoured).
 WORDS = (
@@ -38,9 +39,45 @@ def make_rng(seed: int, stream: str = "") -> random.Random:
     return random.Random(seed)
 
 
+def make_below(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: a uniform int in ``[0, n)``, drawn from ``rng``'s
+    public ``getrandbits`` by the stdlib's own rule (``n <= 0`` raises
+    ``ValueError``, as an empty ``randrange`` does).
+
+    The stdlib draws ``k = n.bit_length()`` bits and redraws while the
+    result is ``>= n``; CPython 3.10 to 3.13 share that rule, so
+    ``below`` consumes ``rng`` exactly as these do, value for value:
+
+    * ``rng.randrange(a, b)`` is ``a + below(b - a)``;
+    * ``rng.choice(seq)`` is ``seq[below(len(seq))]``;
+    * ``rng.uniform(a, b)`` is ``a + (b - a) * rng.random()``.
+
+    Generators draw through it because it is one Python call per draw
+    where ``randrange`` and ``choice`` are two or three, and because it
+    does not lean on ``random``'s private helpers.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        if n <= 0:
+            raise ValueError(f"empty range for below({n})")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+_NUM_WORDS = len(WORDS)
+
+
 def random_phrase(rng: random.Random, num_words: int) -> str:
-    """A short text phrase, e.g. for part names and comments."""
-    return " ".join(rng.choice(WORDS) for __ in range(num_words))
+    """A short text phrase, e.g. for part names and comments: the words
+    ``rng.choice(WORDS)`` would draw, one after another."""
+    below = make_below(rng)
+    return " ".join([WORDS[below(_NUM_WORDS)] for __ in range(num_words)])
 
 
 def zipf_sampler(rng: random.Random, n: int, s: float = 1.0):
@@ -78,3 +115,11 @@ def add_days(start: str, days: int) -> str:
     """ISO date ``days`` after ``start``."""
     first = datetime.date.fromisoformat(start)
     return (first + datetime.timedelta(days=days)).isoformat()
+
+
+def iso_days(start: str, count: int) -> list[str]:
+    """The ISO dates ``start`` and the ``count - 1`` days after it:
+    ``iso_days(start, n)[d] == add_days(start, d)``."""
+    first = datetime.date.fromisoformat(start).toordinal()
+    return [datetime.date.fromordinal(day).isoformat()
+            for day in range(first, first + count)]

@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from repro.core.records import Record
-from repro.datagen.rng import add_days, date_range_days, make_rng, \
-    random_phrase
+from repro.core.records import Record, fixed_row_size
+from repro.datagen.rng import add_days, date_range_days, iso_days, \
+    make_below, make_rng, random_phrase
 from repro.errors import DataGenerationError
 
 __all__ = ["TpchGenerator", "TABLE_NAMES", "REGION_NAMES", "NATIONS"]
@@ -61,6 +61,11 @@ ORDER_STATUSES = ("O", "F", "P")
 SHIP_MODES = ("REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB")
 SEGMENTS = ("AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY",
             "HOUSEHOLD")
+#: account balances are uniform over [ACCTBAL_LOW, ACCTBAL_LOW + SPAN]
+ACCTBAL_LOW = -999.99
+ACCTBAL_SPAN = 9999.99 - ACCTBAL_LOW
+#: a line ships 1 to MAX_SHIP_DELAY days after its order date
+MAX_SHIP_DELAY = 121
 
 
 class TpchGenerator:
@@ -92,36 +97,45 @@ class TpchGenerator:
                 for key, (name, region) in enumerate(NATIONS)]
 
     # -- dimension tables --------------------------------------------------
+    #
+    # Every draw goes through ``make_below`` (see its docstring): the
+    # stdlib's ``randrange(a, b)`` is ``a + below(b - a)``, ``choice(s)``
+    # is ``s[below(len(s))]`` and ``uniform(a, b)`` is
+    # ``a + (b - a) * random()``, so the streams are the ones those
+    # calls drew, value for value.
 
     def supplier(self) -> list[Record]:
         rng = make_rng(self.seed, "supplier")
+        below, random = make_below(rng), rng.random
         rows = []
         for key in range(1, self.num_suppliers + 1):
             rows.append(Record({
                 "s_suppkey": key,
                 "s_name": f"Supplier#{key:09d}",
-                "s_nationkey": rng.randrange(len(NATIONS)),
-                "s_acctbal": round(rng.uniform(-999.99, 9999.99), 2),
+                "s_nationkey": below(len(NATIONS)),
+                "s_acctbal": round(ACCTBAL_LOW + ACCTBAL_SPAN * random(), 2),
                 "s_comment": random_phrase(rng, 4),
             }))
         return rows
 
     def customer(self) -> list[Record]:
         rng = make_rng(self.seed, "customer")
+        below, random = make_below(rng), rng.random
         rows = []
         for key in range(1, self.num_customers + 1):
             rows.append(Record({
                 "c_custkey": key,
                 "c_name": f"Customer#{key:09d}",
-                "c_nationkey": rng.randrange(len(NATIONS)),
-                "c_acctbal": round(rng.uniform(-999.99, 9999.99), 2),
-                "c_mktsegment": rng.choice(SEGMENTS),
+                "c_nationkey": below(len(NATIONS)),
+                "c_acctbal": round(ACCTBAL_LOW + ACCTBAL_SPAN * random(), 2),
+                "c_mktsegment": SEGMENTS[below(len(SEGMENTS))],
                 "c_comment": random_phrase(rng, 4),
             }))
         return rows
 
     def part(self) -> list[Record]:
         rng = make_rng(self.seed, "part")
+        below = make_below(rng)
         rows = []
         for key in range(1, self.num_parts + 1):
             # Spec formula: (90000 + ((P/10) mod 20001) + 100*(P mod 1000))
@@ -130,9 +144,9 @@ class TpchGenerator:
             rows.append(Record({
                 "p_partkey": key,
                 "p_name": random_phrase(rng, 5),
-                "p_brand": f"Brand#{rng.randrange(1, 6)}{rng.randrange(1, 6)}",
+                "p_brand": f"Brand#{1 + below(5)}{1 + below(5)}",
                 "p_type": random_phrase(rng, 3).upper(),
-                "p_size": rng.randrange(1, 51),
+                "p_size": 1 + below(50),
                 "p_retailprice": round(price, 2),
                 "p_comment": random_phrase(rng, 2),
             }))
@@ -140,6 +154,7 @@ class TpchGenerator:
 
     def partsupp(self) -> list[Record]:
         rng = make_rng(self.seed, "partsupp")
+        below, random = make_below(rng), rng.random
         rows = []
         for partkey in range(1, self.num_parts + 1):
             for offset in range(4):
@@ -149,8 +164,9 @@ class TpchGenerator:
                 rows.append(Record({
                     "ps_partkey": partkey,
                     "ps_suppkey": suppkey,
-                    "ps_availqty": rng.randrange(1, 10_000),
-                    "ps_supplycost": round(rng.uniform(1.0, 1000.0), 2),
+                    "ps_availqty": 1 + below(9_999),
+                    # uniform(1.0, 1000.0)
+                    "ps_supplycost": round(1.0 + 999.0 * random(), 2),
                 }))
         return rows
 
@@ -178,42 +194,68 @@ class TpchGenerator:
 
     def _orders_with_lines(self) -> Iterator[tuple[Record, list[Record]]]:
         rng = make_rng(self.seed, "orders")
+        below, random = make_below(rng), rng.random
+        num_customers = self.num_customers
+        num_parts = self.num_parts
+        num_suppliers = self.num_suppliers
+        # Day d of the window is days[d]: order dates index it by their
+        # offset, ship dates by that offset plus the ship delay, so the
+        # rows share one string per calendar day.
+        num_days = self._date_span + 1
+        days = iso_days(START_DATE, num_days + MAX_SHIP_DELAY)
+        # Every row of a fact table has one flat shape, so each is sized
+        # as its table's fixed part (from its first row) plus its text
+        # lengths, not field by field.
+        line_fixed = order_fixed = -1
         for key in range(1, self.num_orders + 1):
-            custkey = rng.randrange(1, self.num_customers + 1)
-            orderdate = add_days(START_DATE,
-                                 rng.randrange(self._date_span + 1))
-            num_lines = rng.randrange(1, 8)
+            custkey = 1 + below(num_customers)
+            order_day = below(num_days)
+            num_lines = 1 + below(7)
             lines = []
             total = 0.0
             for linenumber in range(1, num_lines + 1):
-                partkey = rng.randrange(1, self.num_parts + 1)
-                suppkey = rng.randrange(1, self.num_suppliers + 1)
-                quantity = rng.randrange(1, 51)
+                partkey = 1 + below(num_parts)
+                suppkey = 1 + below(num_suppliers)
+                quantity = 1 + below(50)
                 extended = round(quantity * (900 + partkey % 1000) / 10, 2)
                 total += extended
-                lines.append(Record({
+                # uniform(0.0, 0.10) and uniform(0.0, 0.08)
+                discount = round(0.10 * random(), 2)
+                tax = round(0.08 * random(), 2)
+                shipdate = days[order_day + 1 + below(MAX_SHIP_DELAY)]
+                shipmode = SHIP_MODES[below(len(SHIP_MODES))]
+                line = {
                     "l_orderkey": key,
                     "l_linenumber": linenumber,
                     "l_partkey": partkey,
                     "l_suppkey": suppkey,
                     "l_quantity": quantity,
                     "l_extendedprice": extended,
-                    "l_discount": round(rng.uniform(0.0, 0.10), 2),
-                    "l_tax": round(rng.uniform(0.0, 0.08), 2),
-                    "l_shipdate": add_days(orderdate,
-                                           rng.randrange(1, 122)),
-                    "l_shipmode": rng.choice(SHIP_MODES),
-                }))
-            order = Record({
+                    "l_discount": discount,
+                    "l_tax": tax,
+                    "l_shipdate": shipdate,
+                    "l_shipmode": shipmode,
+                }
+                if line_fixed < 0:
+                    line_fixed = fixed_row_size(line)
+                lines.append(Record(
+                    line, line_fixed + len(shipdate) + len(shipmode)))
+            status = ORDER_STATUSES[below(len(ORDER_STATUSES))]
+            orderdate = days[order_day]
+            priority = f"{1 + below(5)}-PRIORITY"
+            order = {
                 "o_orderkey": key,
                 "o_custkey": custkey,
-                "o_orderstatus": rng.choice(ORDER_STATUSES),
+                "o_orderstatus": status,
                 "o_totalprice": round(total, 2),
                 "o_orderdate": orderdate,
-                "o_orderpriority": f"{rng.randrange(1, 6)}-PRIORITY",
+                "o_orderpriority": priority,
                 "o_shippriority": 0,
-            })
-            yield order, lines
+            }
+            if order_fixed < 0:
+                order_fixed = fixed_row_size(order)
+            yield Record(order, order_fixed + len(status) + len(orderdate)
+                         + len(priority)), lines
 
     # -- whole dataset -----------------------------------------------------
 

@@ -65,7 +65,7 @@ from repro.errors import (DereferenceTimeout, ExecutionError, FaultError,
 from repro.plan.scanstage import ScanLookupDereferencer
 from repro.storage.cache import CACHE_HIT_TIME, PageId, page_checksum
 from repro.storage.files import (BtreeFile, File, PartitionedFile,
-                                 entry_key, index_buckets)
+                                 index_buckets)
 from repro.storage.partitioner import RangePartitioner
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -75,7 +75,8 @@ __all__ = ["resolve_partitions", "initial_probe_pids",
            "simulated_dereference", "recovering_dereference",
            "count_only_dereference", "batched_dereference",
            "classify_failure", "unit_failed", "stamp_watermark",
-           "JobWindow", "open_job_metrics", "close_job_metrics"]
+           "JobWindow", "open_job_metrics", "close_job_metrics",
+           "watch_node_loss", "unwatch_node_loss"]
 
 #: wire size (bytes) of one pointer shipped to a remote owner
 POINTER_BYTES = 64
@@ -564,10 +565,10 @@ class _ScanRecoveryTable:
         # keep base slot order, the duplicate order of the B-tree.
         [(buckets, __)] = index_buckets(
             self.base, self.loader.partition_key_fn,
-            [(self.file, self.definition.extract_keys)])
-        for pid, bucket in enumerate(buckets):
+            [(self.file, self.definition.keys_batch)])
+        for pid, (keys, bucket) in enumerate(buckets):
             self._entries[pid] = bucket
-            self._keys[pid] = list(map(entry_key, bucket))
+            self._keys[pid] = keys
 
     def charge_build(self, cluster: Cluster,
                      metrics: ExecutionMetrics) -> Iterator:
@@ -775,6 +776,44 @@ def open_job_metrics(cluster: Cluster,
     return JobWindow(metrics, cluster.sim.now,
                      [node.disk.spindle_busy_snapshot()
                       for node in cluster.nodes])
+
+
+def watch_node_loss(cluster: Cluster, metrics: ExecutionMetrics,
+                    failures: FailureReport, consequence: str,
+                    then: Optional[Callable[[int], None]] = None
+                    ) -> Optional[Callable[[int], None]]:
+    """Account every node one job loses, when the cluster can lose one
+    (it has a fault plan or a topology controller); returns the listener
+    for :func:`unwatch_node_loss`, or None.
+
+    A node retired by a drain is a topology event, noted in ``failures``
+    as "node N retired by drain at T ms; ``consequence``"; any other
+    loss is a crash, counted in ``metrics.node_crashes``.  ``then(dead)``
+    runs after the accounting (SMPE re-queues the node's pending work
+    there)."""
+    if cluster.faults is None and cluster.topology is None:
+        return None
+
+    def listener(dead: int) -> None:
+        nodes = cluster.nodes
+        if dead < len(nodes) and nodes[dead].retired:
+            failures.note_topology(
+                f"node {dead} retired by drain at "
+                f"{cluster.sim.now * 1e3:.2f}ms; {consequence}")
+        else:
+            metrics.node_crashes += 1
+        if then is not None:
+            then(dead)
+
+    cluster.on_node_crash(listener)
+    return listener
+
+
+def unwatch_node_loss(cluster: Cluster,
+                      listener: Optional[Callable[[int], None]]) -> None:
+    """Stop the accounting :func:`watch_node_loss` started, if any."""
+    if listener is not None:
+        cluster.remove_crash_listener(listener)
 
 
 def close_job_metrics(cluster: Cluster, window: JobWindow,

@@ -33,7 +33,8 @@ from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
 from repro.engine.access import (close_job_metrics, initial_probe_pids,
                                  open_job_metrics, recovering_dereference,
-                                 resolve_partitions, unit_failed)
+                                 resolve_partitions, unit_failed,
+                                 unwatch_node_loss, watch_node_loss)
 from repro.engine.metrics import ExecutionMetrics, FailureReport, JobResult
 from repro.errors import ExecutionError
 from repro.storage.files import PartitionedFile
@@ -67,26 +68,15 @@ class PartitionedEngine:
                 for node_id in range(self.cluster.num_nodes)]
             yield self.cluster.sim.all_of(workers)
 
-        listener = None
-        if (self.cluster.faults is not None
-                or self.cluster.topology is not None):
-            def listener(dead: int) -> None:
-                nodes = self.cluster.nodes
-                if dead < len(nodes) and nodes[dead].retired:
-                    failures.note_topology(
-                        f"node {dead} retired by drain at "
-                        f"{self.cluster.sim.now * 1e3:.2f}ms; later "
-                        "dereferences re-route to survivors")
-                else:
-                    metrics.node_crashes += 1
-            self.cluster.on_node_crash(listener)
+        listener = watch_node_loss(
+            self.cluster, metrics, failures,
+            "later dereferences re-route to survivors")
         try:
             self.cluster.run_job(
                 job_process(), name=f"partitioned:{job.name}",
                 max_time=max_time or self.config.max_sim_time)
         finally:
-            if listener is not None:
-                self.cluster.remove_crash_listener(listener)
+            unwatch_node_loss(self.cluster, listener)
         close_job_metrics(self.cluster, window, results, limit,
                           self.cluster.num_nodes)
         return JobResult(results, metrics, failure_report=failures)

@@ -73,7 +73,8 @@ from repro.core.pointers import Pointer, PointerRange
 from repro.core.records import Record
 from repro.engine.access import (close_job_metrics, initial_probe_pids,
                                  open_job_metrics, recovering_dereference,
-                                 resolve_partitions, unit_failed)
+                                 resolve_partitions, unit_failed,
+                                 unwatch_node_loss, watch_node_loss)
 from repro.engine.metrics import ExecutionMetrics, FailureReport, JobResult
 from repro.errors import ExecutionError, NodeCrashed
 
@@ -219,12 +220,10 @@ class SmpeEngine:
                           FailureReport(), limit=limit,
                           propagate_errors=propagate_errors)
 
-        listener = None
-        if (self.cluster.faults is not None
-                or self.cluster.topology is not None):
-            def listener(dead: int) -> None:
-                self._on_node_crash(state, dead)
-            self.cluster.on_node_crash(listener)
+        listener = watch_node_loss(
+            self.cluster, metrics, state.failures,
+            "pending work re-queued to survivors",
+            then=lambda dead: self._requeue_lost_node(state, dead))
 
         result = JobResult(results, metrics, failure_report=state.failures)
 
@@ -241,8 +240,7 @@ class SmpeEngine:
             for queue in queues:
                 queue.put(_SENTINEL)
             yield sim.all_of(node_procs)
-            if listener is not None:
-                self.cluster.remove_crash_listener(listener)
+            unwatch_node_loss(self.cluster, listener)
             close_job_metrics(self.cluster, window, results, limit,
                               sum(pool.max_in_use for pool in pools))
             if state.aborted is not None:
@@ -297,20 +295,13 @@ class SmpeEngine:
         if fatal is not None:
             self._abort(state, fatal)
 
-    def _on_node_crash(self, state: "_RunState", dead: int) -> None:
-        """Crash listener: hand the dead node's pending queue to the
+    def _requeue_lost_node(self, state: "_RunState", dead: int) -> None:
+        """After a node loss: hand the dead node's pending queue to the
         survivor that adopted its partitions and stop its dispatcher.
 
-        Fires for true crashes and for planned drain retirements alike —
+        Runs for true crashes and for planned drain retirements alike —
         the re-queue mechanics are identical; only the accounting
-        differs (a drain is a topology event, not a lost node)."""
-        if dead < len(self.cluster.nodes) and self.cluster.nodes[dead].retired:
-            state.failures.note_topology(
-                f"node {dead} retired by drain at "
-                f"{self.cluster.sim.now * 1e3:.2f}ms; pending work "
-                "re-queued to survivors")
-        else:
-            state.metrics.node_crashes += 1
+        (:func:`~repro.engine.access.watch_node_loss`) differs."""
         if dead >= len(state.queues):
             # A node that joined after this job was submitted has no
             # dispatcher here; nothing to re-queue.

@@ -279,7 +279,7 @@ class Compactor:
         dfs = self.catalog.dfs
         definitions = [d for d in self.catalog.definitions_over(file_name)
                        if d.name in dfs]
-        dfs.load_indexes(file_name, [(dfs.get_index(d.name), d.extract_keys)
+        dfs.load_indexes(file_name, [(dfs.get_index(d.name), d.keys_batch)
                                      for d in definitions])
         for definition in definitions:
             registry.retire(definition.name)

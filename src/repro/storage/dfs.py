@@ -27,12 +27,18 @@ from repro.storage.files import (
     BtreeFile,
     File,
     KeyFn,
+    KeysFn,
     PartitionedFile,
     index_buckets,
 )
 from repro.storage.partitioner import HashPartitioner, Partitioner
 
 __all__ = ["DistributedFileSystem", "LoaderInfo"]
+
+
+def _per_record(key_fn: KeyFn) -> KeysFn:
+    """The batch key extraction that applies ``key_fn`` to each record."""
+    return lambda records: list(map(key_fn, records))
 
 
 @dataclass
@@ -118,12 +124,16 @@ class DistributedFileSystem:
         key (defaults to the partition key).  The extractors are remembered
         so that index builds can reconstruct pointers to base records.
         """
-        key_fn = key_fn or partition_key_fn
         file = self.create_file(name, num_partitions=num_partitions)
-        # append, not insert: nobody here reads a pointer per record.
+        # append, not insert: nobody here reads a pointer per record.  A
+        # None in-partition key defaults to the partition key, so when
+        # the two are one function it runs once per record.
+        own_key_fn = None if key_fn is partition_key_fn else key_fn
         for record in records:
-            file.append(record, partition_key_fn(record), key_fn(record))
-        self._loaders[name] = LoaderInfo(partition_key_fn, key_fn)
+            file.append(record, partition_key_fn(record),
+                        None if own_key_fn is None else own_key_fn(record))
+        self._loaders[name] = LoaderInfo(partition_key_fn,
+                                         key_fn or partition_key_fn)
         return file
 
     def loader_info(self, name: str) -> LoaderInfo:
@@ -153,7 +163,8 @@ class DistributedFileSystem:
         index = self.new_index(index_name, base_name, "global",
                                num_partitions=num_partitions, order=order,
                                partitioner=partitioner)
-        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
+        return self.build_indexes(base_name,
+                                  [(index, _per_record(index_key_fn))])[0]
 
     def build_local_index(self, index_name: str, base_name: str,
                           index_key_fn: KeyFn,
@@ -164,7 +175,8 @@ class DistributedFileSystem:
         probes visit every partition, each node handling its local ones.
         """
         index = self.new_index(index_name, base_name, "local", order=order)
-        return self.build_indexes(base_name, [(index, index_key_fn)])[0]
+        return self.build_indexes(base_name,
+                                  [(index, _per_record(index_key_fn))])[0]
 
     def new_index(self, index_name: str, base_name: str, scope: str,
                   num_partitions: Optional[int] = None, order: int = 64,
@@ -191,9 +203,10 @@ class DistributedFileSystem:
                          scope=scope, order=order)
 
     def load_indexes(self, base_name: str,
-                     targets: Sequence[tuple[BtreeFile, KeyFn]]) -> None:
-        """(Re)load every ``(index, key_fn)`` target from one pass over
-        ``base_name``'s heap.
+                     targets: Sequence[tuple[BtreeFile, KeysFn]]) -> None:
+        """(Re)load every ``(index, keys_fn)`` target from one pass over
+        ``base_name``'s heaps (``keys_fn`` as :func:`index_buckets`
+        takes it).
 
         Entries address base records *physically* (partition-routing key
         + slot), so each resolves to exactly the record that produced it
@@ -206,7 +219,7 @@ class DistributedFileSystem:
             index.load_entries(buckets, total_bytes)
 
     def build_indexes(self, base_name: str,
-                      targets: Sequence[tuple[BtreeFile, KeyFn]]
+                      targets: Sequence[tuple[BtreeFile, KeysFn]]
                       ) -> list[BtreeFile]:
         """Fill fresh indexes from one heap pass and add them to the
         namespace; returns them in ``targets`` order."""

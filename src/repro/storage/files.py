@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.core.pointers import Pointer, PointerKind, PointerRange
@@ -28,7 +28,11 @@ from repro.errors import PartitionError, StorageError
 from repro.storage.btree import BPlusTree
 from repro.storage.cache import PageId
 from repro.storage.heapfile import HeapFile
-from repro.storage.partitioner import HashPartitioner, Partitioner
+from repro.storage.partitioner import (
+    MEMO_SAFE_KEY_TYPES,
+    HashPartitioner,
+    Partitioner,
+)
 
 __all__ = ["File", "PartitionedFile", "BtreeFile", "EntryPayload",
            "IndexEntry", "index_buckets", "round_robin_placement"]
@@ -60,6 +64,10 @@ _PHYSICAL_FIXED_SIZE = (2 * len(_PHYSICAL_FIELDS)
 _SLOT_SIZE = estimate_size(0)
 
 KeyFn = Callable[[Record], Any]
+#: one heap's records -> per record, a key, a list of keys, or None
+KeysFn = Callable[[Sequence[Record]], Sequence[Any]]
+#: one index partition's entries sorted by key, and those keys
+KeyedBucket = tuple[list[Any], list[Record]]
 
 #: builds a :class:`PageId` from a 4-tuple without the namedtuple's
 #: Python-level ``__new__`` (the page walks make one per page touched)
@@ -167,72 +175,151 @@ def IndexEntry(index_key: Any, target_partition_key: Any,
 
 
 def index_buckets(base: "PartitionedFile", partition_key_fn: KeyFn,
-                  targets: Sequence[tuple["BtreeFile", KeyFn]]
-                  ) -> list[tuple[list[list[Record]], int]]:
+                  targets: Sequence[tuple["BtreeFile", KeysFn]]
+                  ) -> list[tuple[list[KeyedBucket], int]]:
     """Derive the physical entries of every target index in one pass over
-    ``base``'s heap.
+    ``base``'s heaps.
 
-    ``targets`` pairs an index with its key extraction (``record -> key``,
-    a list of keys, or None to skip the record).  Returns, per target,
-    its per-partition buckets of entries sorted by index key —
-    duplicates in base (partition, slot) order, the order a B-tree bulk
-    load keeps — and the bytes :attr:`BtreeFile.total_bytes` counts for
-    them.  Local entries colocate with the base record's partition,
-    global ones partition by the index key, replicated ones land in
-    every replica.
+    ``targets`` pairs an index with its batch key extraction: given one
+    heap's records, one answer per record — a key, a list of keys, or
+    None to skip the record.  Returns, per target, its per-partition
+    buckets of entries sorted by index key — duplicates in base
+    (partition, slot) order, the order a B-tree bulk load keeps — each
+    with its keys beside it, and the bytes :attr:`BtreeFile.total_bytes`
+    counts for them.  Local entries colocate with the base record's
+    partition, global ones partition by the index key, replicated ones
+    land in every replica.
 
     Each entry's size is summed from its parts, to exactly the
-    ``estimate_size`` of its payload: the field names once, the
-    partition key once per base record, the index key per entry.  All
-    entries of one base record share its slot int.
+    ``estimate_size`` of its payload: the field names, the partition key
+    and the index key.  All entries of one base record share its slot
+    int.  Keys repeat heavily (a few hundred part keys over tens of
+    thousands of lineitems), so within one build each distinct index
+    key is sized and routed once, and each distinct partition key sized
+    once, for a heap whose keys are all of
+    :data:`~repro.storage.partitioner.MEMO_SAFE_KEY_TYPES`.
     """
     plans = []
-    for index, key_fn in targets:
+    for index, keys_fn in targets:
         buckets: list[list[Record]] = [
             [] for __ in range(index.num_partitions)]
-        copies = len(buckets) if index.scope == "replicated" else 1
-        plans.append((key_fn, index.scope, index.partitioner.partition,
-                      buckets, copies))
-    totals = [0] * len(plans)
-    new_object, new_record = object.__new__, Record
+        bucket_keys: list[list[Any]] = [[] for __ in buckets]
+        plans.append((keys_fn, index.scope, index.partitioner.partition,
+                      buckets, bucket_keys, {}, {}))
+    entry_bytes = [0] * len(plans)
+    entry_counts = [0] * len(plans)
+    target_sizes: dict[Any, int] = {}
     for heap in base.partitions:
-        for slot, record in enumerate(heap.scan()):
-            target_size = -1  # partition key not read yet
-            for i, (key_fn, scope, route, buckets, copies) in enumerate(
-                    plans):
-                keys = key_fn(record)
-                if keys is None:
-                    continue  # schema-on-read: records missing the key
-                if not isinstance(keys, list):
-                    keys = [keys]
-                if target_size < 0:
-                    partition_key = partition_key_fn(record)
-                    target_size = (_PHYSICAL_FIXED_SIZE + _SLOT_SIZE
-                                   + estimate_size(partition_key))
-                if scope == "local":
-                    local_bucket = buckets[route(partition_key)]
-                for index_key in keys:
-                    # EntryPayload(...) inlined: its Python-level __new__
-                    # per entry would cost the build about 7 %.
-                    payload = new_object(EntryPayload)
-                    _set_key(payload, index_key)
-                    _set_partition_key(payload, partition_key)
-                    _set_target_key(payload, slot)
-                    _set_kind(payload, PHYSICAL_KIND)
-                    size = target_size + estimate_size(index_key)
-                    entry = new_record(payload, size)
-                    if scope == "global":
-                        buckets[route(index_key)].append(entry)
-                    elif scope == "local":
-                        local_bucket.append(entry)
-                    else:
-                        for bucket in buckets:
-                            bucket.append(entry)
-                    totals[i] += (size + _ENTRY_OVERHEAD) * copies
-    for plan in plans:
-        for bucket in plan[3]:
-            bucket.sort(key=entry_key)
-    return [(plan[3], total) for plan, total in zip(plans, totals)]
+        records = list(heap.scan())
+        partition_keys = list(map(partition_key_fn, records))
+        record_sizes = _memoized(_target_size, target_sizes, partition_keys)
+        for i, (keys_fn, scope, route, buckets, bucket_keys, key_sizes,
+                partitions) in enumerate(plans):
+            keys, slots = _flatten_keys(keys_fn(records))
+            entry_pks = _per_entry(partition_keys, slots)
+            sizes = list(map(add, _per_entry(record_sizes, slots),
+                             _memoized(estimate_size, key_sizes, keys)))
+            if scope == "replicated":
+                entries: list[list[Record]] = [[]]
+                _fill(entries, [[]], [0] * len(keys), keys, entry_pks,
+                      slots, sizes)
+                for bucket, replica_keys in zip(buckets, bucket_keys):
+                    bucket.extend(entries[0])
+                    replica_keys.extend(keys)
+            else:
+                pids = (_memoized(route, partitions, keys)
+                        if scope == "global" else
+                        _per_entry(_memoized(route, partitions,
+                                             partition_keys), slots))
+                _fill(buckets, bucket_keys, pids, keys, entry_pks, slots,
+                      sizes)
+            entry_bytes[i] += sum(sizes)
+            entry_counts[i] += len(sizes)
+    result = []
+    for (__, scope, __, buckets, bucket_keys, __, __), total, count in zip(
+            plans, entry_bytes, entry_counts):
+        copies = len(buckets) if scope == "replicated" else 1
+        result.append(([_sorted_by_key(keys, bucket)
+                        for keys, bucket in zip(bucket_keys, buckets)],
+                       (total + _ENTRY_OVERHEAD * count) * copies))
+    return result
+
+
+def _sorted_by_key(keys: list[Any], entries: list[Record]) -> KeyedBucket:
+    """``(keys, entries)`` in key order, equal keys in entry order: what
+    ``entries.sort(key=entry_key)`` gives, without reading each key back
+    through its entry."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (list(map(keys.__getitem__, order)),
+            list(map(entries.__getitem__, order)))
+
+
+def _flatten_keys(answers: Sequence[Any]
+                  ) -> tuple[Sequence[Any], Sequence[int]]:
+    """One heap's key answers as per-entry ``(keys, slots)``: a None
+    answer contributes no entry, a list one per key.  When every answer
+    is one key, they are the keys and the slots are ``range(len)``."""
+    kinds = set(map(type, answers))
+    if type(None) not in kinds and not any(issubclass(kind, list)
+                                           for kind in kinds):
+        return answers, range(len(answers))
+    keys: list[Any] = []
+    slots: list[int] = []
+    for slot, answer in enumerate(answers):
+        if answer is None:
+            continue  # schema-on-read: records missing the key
+        if isinstance(answer, list):
+            keys.extend(answer)
+            slots.extend([slot] * len(answer))
+        else:
+            keys.append(answer)
+            slots.append(slot)
+    return keys, slots
+
+
+def _per_entry(per_record: list[Any], slots: Sequence[int]
+               ) -> Sequence[Any]:
+    """A per-record list read out per entry (``slots`` from
+    :func:`_flatten_keys`)."""
+    if isinstance(slots, range):
+        return per_record
+    return list(map(per_record.__getitem__, slots))
+
+
+def _memoized(fn: Callable[[Any], Any], memo: dict, keys: Sequence[Any]
+              ) -> list[Any]:
+    """``[fn(key) for key in keys]``, with ``fn`` run once per distinct
+    key through ``memo`` when every key's type allows it."""
+    if not set(map(type, keys)) <= MEMO_SAFE_KEY_TYPES:
+        return list(map(fn, keys))
+    for key in set(keys).difference(memo):
+        memo[key] = fn(key)
+    return list(map(memo.__getitem__, keys))
+
+
+def _target_size(partition_key: Any) -> int:
+    """The size of a physical entry's payload minus its index key."""
+    return _PHYSICAL_FIXED_SIZE + _SLOT_SIZE + estimate_size(partition_key)
+
+
+def _fill(buckets: list[list[Record]], bucket_keys: list[list[Any]],
+          partitions: Sequence[int], keys: Sequence[Any],
+          partition_keys: Sequence[Any], slots: Sequence[int],
+          sizes: Sequence[int]) -> None:
+    """Append one physical entry per key to its partition's bucket, and
+    the key beside it."""
+    new_object, new_record = object.__new__, Record
+    for pid, index_key, partition_key, slot, size in zip(
+            partitions, keys, partition_keys, slots, sizes):
+        # EntryPayload(...) inlined: its Python-level __new__ per entry
+        # would cost the build about 7 %.
+        payload = new_object(EntryPayload)
+        _set_key(payload, index_key)
+        _set_partition_key(payload, partition_key)
+        _set_target_key(payload, slot)
+        _set_kind(payload, PHYSICAL_KIND)
+        buckets[pid].append(new_record(payload, size))
+        bucket_keys[pid].append(index_key)
 
 
 #: the index key of an entry record
@@ -534,17 +621,17 @@ class BtreeFile(File):
             total += (entry.size_bytes + _ENTRY_OVERHEAD) * copies
         for bucket in buckets:
             bucket.sort(key=entry_key)
-        self.load_entries(buckets, total, fill)
+        self.load_entries([(list(map(entry_key, bucket)), bucket)
+                           for bucket in buckets], total, fill)
 
-    def load_entries(self, buckets: Sequence[list[Record]],
+    def load_entries(self, buckets: Sequence[KeyedBucket],
                      total_bytes: int, fill: float = 0.9) -> None:
         """(Re)build every partition from its bucket of entries sorted by
-        index key; ``total_bytes`` is what they count towards
-        :attr:`total_bytes` (see :func:`index_buckets`)."""
-        for pid, bucket in enumerate(buckets):
+        index key, given with those keys; ``total_bytes`` is what they
+        count towards :attr:`total_bytes` (see :func:`index_buckets`)."""
+        for pid, (keys, bucket) in enumerate(buckets):
             self.trees[pid] = BPlusTree.bulk_load(
-                zip(map(entry_key, bucket), bucket), order=self.order,
-                fill=fill)
+                zip(keys, bucket), order=self.order, fill=fill)
         self._total_bytes = total_bytes
 
     def set_replica_nodes(self, nodes: Sequence[int]) -> list[int]:

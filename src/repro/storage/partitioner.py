@@ -18,7 +18,8 @@ from typing import Any, Sequence
 from repro.core.pointers import Pointer
 from repro.errors import PartitionError
 
-__all__ = ["Partitioner", "HashPartitioner", "RangePartitioner", "stable_hash"]
+__all__ = ["MEMO_SAFE_KEY_TYPES", "Partitioner", "HashPartitioner",
+           "RangePartitioner", "stable_hash"]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -62,10 +63,18 @@ def _fnv1a(key: Any) -> int:
     return value
 
 
-#: Memo of :func:`_fnv1a` for the two key types that dominate routing.
-#: Only exact ``int`` and ``str`` keys enter it: those never compare
-#: equal across types, so a hit can never hand ``True`` or ``1.0`` the
-#: hash of ``1``.  Bounded, so a long-lived process stays flat.
+#: Key types a memo keyed by the key itself may serve: among exact
+#: ``int``, ``float`` and ``str`` keys, equal keys encode alike (``1`` and
+#: ``1.0``, ``0`` and ``-0.0`` share ``i1`` and ``i0``) and have equal
+#: ``estimate_size``.  ``bool`` stays out: ``True == 1``, but it encodes
+#: as ``b1`` and sizes as 1 byte.  The index build's per-build memos
+#: (``files.index_buckets``) take these types.
+MEMO_SAFE_KEY_TYPES = frozenset((int, float, str))
+
+#: Memo of :func:`_fnv1a` for the two of those types that dominate
+#: routing, exact ``int`` and ``str``: those never compare equal across
+#: types, so a hit can never hand ``True`` or ``1.0`` the hash of ``1``.
+#: Bounded, so a long-lived process stays flat.
 _memo_fnv1a = functools.lru_cache(maxsize=1 << 14)(_fnv1a)
 
 

@@ -199,6 +199,17 @@ class TestAdaptiveController:
         assert adaptive_rows == static_rows
         assert adaptive.elapsed_seconds < static.elapsed_seconds / 1.5
 
+    def test_switch_describes_itself_from_its_own_numbers(self, skew_lake):
+        adaptive, __ = run_skew(skew_lake, 4.0)
+        event = adaptive.adaptive.switches[0]
+        assert event.describe() == (
+            f"stage[{event.stage_index}] join:grand index->scan at fn "
+            f"{event.function_index} (rows_in "
+            f"{event.estimated_rows_in:.0f} est -> "
+            f"{event.observed_rows_in:.0f} seen; "
+            f"{event.index_seconds * 1e3:.1f}ms index vs "
+            f"{event.scan_seconds * 1e3:.1f}ms scan)")
+
     def test_switched_function_is_scan_backed(self, skew_lake):
         adaptive, __ = run_skew(skew_lake, 4.0)
         event = adaptive.adaptive.switches[0]

@@ -100,6 +100,24 @@ class TestExactServing:
         assert row_values(second) == row_values(first)
         assert cache.hits == 1 and cache.insertions == 1
 
+    def test_stats_count_one_miss_then_one_hit(self):
+        catalog = make_catalog()
+        cluster, gateway, cache = make_gateway(catalog)
+        assert cache.stats()["entries"] == 0
+        serve(cluster, gateway, range_job(3, 7))
+        after_miss = cache.stats()
+        serve(cluster, gateway, range_job(3, 7))
+        after_hit = cache.stats()
+        assert (after_miss["misses"], after_miss["hits"],
+                after_miss["insertions"], after_miss["entries"]) == \
+            (1, 0, 1, 1)
+        assert (after_hit["misses"], after_hit["hits"],
+                after_hit["insertions"], after_hit["entries"]) == \
+            (1, 1, 1, 1)
+        assert 0 < after_hit["used_bytes"] <= after_hit["budget_bytes"] \
+            == 8 << 20
+        assert after_hit["evictions"] == after_hit["invalidations"] == 0
+
     def test_cached_rows_bit_identical_to_cacheless_gateway(self):
         catalog = make_catalog()
         plain_cluster, plain_gateway, __ = make_gateway(catalog,
