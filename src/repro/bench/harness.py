@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-__all__ = ["SweepTable", "format_seconds", "format_factor", "geometric_mean"]
+__all__ = ["SweepTable", "format_seconds", "format_factor"]
 
 
 def format_seconds(seconds: float) -> str:
@@ -28,17 +28,6 @@ def format_factor(factor: float) -> str:
     if factor != factor or factor in (float("inf"), 0.0):  # NaN/inf guard
         return "-"
     return f"{factor:.1f}x"
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0.0 for empty input)."""
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 0.0
-    product = 1.0
-    for value in positives:
-        product *= value
-    return product ** (1.0 / len(positives))
 
 
 @dataclass

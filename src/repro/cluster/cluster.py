@@ -104,9 +104,6 @@ class Cluster:
     def alive(self, node_id: int) -> bool:
         return self.node(node_id).alive
 
-    def alive_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes if n.alive]
-
     def serving_node(self, node_id: int) -> int:
         """The node currently serving ``node_id``'s data and work.
 
@@ -157,12 +154,6 @@ class Cluster:
         done = self.launch(generator, name=name)
         result = self.run_until(done, max_time=max_time)
         return result, self.sim.now - start
-
-    def total_random_reads(self) -> int:
-        return sum(node.disk.random_reads for node in self.nodes)
-
-    def total_bytes_scanned(self) -> int:
-        return sum(node.disk.bytes_scanned for node in self.nodes)
 
     # -- buffer pools ----------------------------------------------------
 

@@ -178,11 +178,6 @@ class Disk:
         finally:
             self._scan_channel.release()
 
-    @property
-    def peak_concurrent_reads(self) -> int:
-        """Highest number of random reads ever in flight at once."""
-        return self._spindles.max_in_use
-
     def spindle_busy_snapshot(self) -> float:
         """Busy integral up to now (for windowed utilization deltas)."""
         return self._spindles.busy_snapshot()

@@ -208,15 +208,6 @@ class FaultPlan:
         if len(crashed) != len(set(crashed)):
             raise JobDefinitionError("a node cannot crash twice")
 
-    @property
-    def is_noop(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (self.transient_io_rate == 0.0
-                and self.network_drop_rate == 0.0
-                and not self.slow_disks and not self.node_crashes
-                and not self.rebalance_crashes
-                and not any(c.rate > 0.0 for c in self.page_corruptions))
-
 
 class FaultInjector:
     """Runtime fault source bound to one cluster.

@@ -384,7 +384,7 @@ class StructureCatalog:
         base_runs = registry.runs(definition.base_file)
         if not base_runs:
             return
-        from repro.ingest.delta import DeltaRun, index_placements
+        from repro.ingest.delta import DeltaRun
 
         base = self.dfs.get_base(definition.base_file)
         loader = self.dfs.loader_info(definition.base_file)
@@ -396,9 +396,8 @@ class StructureCatalog:
                     partition_key = loader.partition_key_fn(payload)
                     for index_key in definition.extract_keys(payload):
                         entry = IndexEntry(index_key, partition_key, tag)
-                        for ipid in index_placements(
-                                definition, index, partition_key,
-                                index_key):
+                        for ipid in index.entry_partitions(partition_key,
+                                                           index_key):
                             index_run.add(ipid, index_key, entry, origin)
             tombstones: dict[int, set] = {}
             for pid, keys in run.upserts.items():
@@ -409,8 +408,8 @@ class StructureCatalog:
                         old_pk = loader.partition_key_fn(old)
                         for old_key in definition.extract_keys(old):
                             triple = (old_key, old_pk, slot)
-                            for ipid in index_placements(
-                                    definition, index, old_pk, old_key):
+                            for ipid in index.entry_partitions(old_pk,
+                                                               old_key):
                                 tombstones.setdefault(ipid, set()).add(
                                     triple)
             index_run.upserts = run.upserts
@@ -506,18 +505,7 @@ class StructureCatalog:
             for index_key in definition.extract_keys(record):
                 entry = IndexEntry(index_key, partition_key, slot,
                                    kind=PointerKind.PHYSICAL)
-                if definition.scope == "replicated":
-                    # insert() replicates internally; every replica is a
-                    # separate physical write.
-                    index.insert(index_key, entry)
-                    index_writes += index.num_partitions
-                    continue
-                placement_key = (partition_key
-                                 if definition.scope == "local"
-                                 else index_key)
-                index.insert(index_key, entry,
-                             partition_key=placement_key)
-                index_writes += 1
+                index_writes += index.insert(index_key, entry, partition_key)
         # Single-record inserts mutate the base heap and every maintained
         # tree in place; any buffer-pool pages caching them are now stale.
         self.invalidate_cached(file_name)

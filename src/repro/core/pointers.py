@@ -92,15 +92,6 @@ class Pointer(tuple):
         """True when the pointer carries no partition information."""
         return self[1] is None
 
-    def with_partition(self, partition_key: Any) -> "Pointer":
-        """Return a copy bound to a concrete partition key.
-
-        Used when the engine materializes a broadcast pointer on each
-        partition.
-        """
-        return _new_tuple(Pointer, (self[0], partition_key, self[2],
-                                    self[3]))
-
     def __repr__(self) -> str:
         target = "*" if self.is_broadcast else repr(self.partition_key)
         return (f"Pointer({self.file!r}, part={target}, key={self.key!r}, "

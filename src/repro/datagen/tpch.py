@@ -291,8 +291,3 @@ class TpchGenerator:
         offset = date_range_days(START_DATE, start)
         end_offset = min(offset + window_days - 1, self._date_span)
         return add_days(START_DATE, offset), add_days(START_DATE, end_offset)
-
-    def selectivity_of_range(self, low: str, high: str) -> float:
-        """Exact uniform selectivity of an inclusive date window."""
-        days = date_range_days(low, high) + 1
-        return min(1.0, max(0.0, days / (self._date_span + 1)))

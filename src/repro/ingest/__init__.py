@@ -22,7 +22,6 @@ from repro.ingest.coordinator import IngestBatch, IngestCoordinator
 from repro.ingest.delta import DeltaRegistry, DeltaRun
 from repro.ingest.source import (
     MicroBatch,
-    batch_stream,
     bursty_gaps,
     poisson_gaps,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "IngestBatch",
     "IngestCoordinator",
     "MicroBatch",
-    "batch_stream",
     "bursty_gaps",
     "poisson_gaps",
 ]

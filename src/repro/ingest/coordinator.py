@@ -27,8 +27,7 @@ from typing import Any, Optional
 from repro.cluster.cluster import Cluster
 from repro.core.catalog import StructureCatalog, StructureState
 from repro.errors import NodeCrashed, ReproError
-from repro.ingest.delta import (DeltaRegistry, DeltaRun, delta_tag,
-                                index_placements)
+from repro.ingest.delta import DeltaRegistry, DeltaRun, delta_tag
 from repro.ingest.source import MicroBatch
 from repro.ingest.watermark import FreshnessWatermark
 from repro.storage.files import IndexEntry
@@ -218,8 +217,8 @@ class IngestCoordinator:
             for definition, index in indexes:
                 for index_key in definition.extract_keys(record):
                     entry = IndexEntry(index_key, partition_key, tag)
-                    for ipid in index_placements(
-                            definition, index, partition_key, index_key):
+                    for ipid in index.entry_partitions(partition_key,
+                                                       index_key):
                         index_runs[definition.name].add(
                             ipid, index_key, entry, (pid, key))
             if not is_upsert:
@@ -234,8 +233,8 @@ class IngestCoordinator:
                 for definition, index in indexes:
                     for old_key in definition.extract_keys(old):
                         triple = (old_key, old_pk, slot)
-                        for ipid in index_placements(
-                                definition, index, old_pk, old_key):
+                        for ipid in index.entry_partitions(old_pk,
+                                                           old_key):
                             tombstones[definition.name].setdefault(
                                 ipid, set()).add(triple)
 

@@ -11,7 +11,8 @@ per-partition *sorted run* of payloads, the classic LSM compromise:
 * for an **index**, the payloads are
   :func:`~repro.storage.files.IndexEntry` records with *logical* targets
   (the new records have no heap slot yet), placed into index partitions
-  with exactly the placement rule the built tree uses, so a probe of
+  by the built tree's own rule,
+  :meth:`~repro.storage.files.BtreeFile.entry_partitions`, so a probe of
   partition ``p`` finds precisely the entries the compacted tree would
   hold in ``p``.
 
@@ -47,8 +48,7 @@ from repro.ingest.watermark import FreshnessWatermark
 __all__ = ["DeltaRun", "DeltaRegistry", "probe_delta_runs",
            "probe_delta_tag", "dead_base_keys", "tombstone_set",
            "live_entries", "superseded", "live_payloads", "live_records",
-           "merge_runs", "delta_tag", "is_delta_tag",
-           "index_placements"]
+           "merge_runs", "delta_tag", "is_delta_tag"]
 
 Target = Union[Pointer, PointerRange]
 
@@ -317,19 +317,6 @@ def probe_delta_tag(runs: list[DeltaRun], pid: int, tag: Any
             return [], 1
         return [payload], 0
     return [], 0
-
-
-def index_placements(definition: Any, index: Any, base_partition_key: Any,
-                     index_key: Any) -> list[int]:
-    """Index partitions one delta entry lands in — the exact placement
-    rule of the built tree, so probes of partition ``p`` see precisely
-    the delta entries the compacted tree would hold.  Shared by the
-    ingest commit and the materialization-time backfill."""
-    if definition.scope == "replicated":
-        return list(range(index.num_partitions))
-    if definition.scope == "local":
-        return [index.partition_of_key(base_partition_key)]
-    return [index.partition_of_key(index_key)]
 
 
 def merge_runs(runs: list[DeltaRun]) -> DeltaRun:

@@ -1,9 +1,9 @@
 """Arrival processes and micro-batch streams for the ingest path.
 
-Everything runs on *simulated* time and seeded RNGs: a source is an
-iterator of ``(gap_seconds, MicroBatch)`` pairs, and the driver (CLI,
-benchmark, or test) decides what to do with the gaps — usually sleep
-them on the cluster's event loop, then hand the batch to the
+Everything runs on *simulated* time and seeded RNGs: an arrival process
+is an iterator of gap seconds, and the driver (CLI, benchmark, or test)
+decides what to do with the gaps — usually sleep them on the cluster's
+event loop, then hand a :class:`MicroBatch` to the
 :class:`~repro.ingest.coordinator.IngestCoordinator`.
 
 Two arrival shapes cover the experiments:
@@ -18,12 +18,12 @@ Two arrival shapes cover the experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
 from repro.core.records import Record
 from repro.datagen.rng import make_rng
 
-__all__ = ["MicroBatch", "poisson_gaps", "bursty_gaps", "batch_stream"]
+__all__ = ["MicroBatch", "poisson_gaps", "bursty_gaps"]
 
 
 @dataclass
@@ -91,21 +91,3 @@ def bursty_gaps(rate: float, duration: float, seed: int = 0, *,
         if elapsed > duration:
             return
         yield gap
-
-
-def batch_stream(gaps: Iterator[float],
-                 make_batch: Callable[[int, float], Optional[MicroBatch]]
-                 ) -> Iterator[tuple[float, MicroBatch]]:
-    """Pair an arrival process with a batch factory.
-
-    ``make_batch(index, arrival_time)`` builds the batch arriving at
-    cumulative time ``arrival_time``; returning ``None`` ends the
-    stream early (source exhausted).
-    """
-    elapsed = 0.0
-    for i, gap in enumerate(gaps):
-        elapsed += gap
-        batch = make_batch(i, elapsed)
-        if batch is None:
-            return
-        yield gap, batch

@@ -83,7 +83,7 @@ class ScanLookupDereferencer(Dereferencer):
         self.cache: Optional[Any] = None
         self._tables: dict[tuple, dict[Any, list[Record]]] = {}
         #: per-cluster build state, keyed by ``id(cluster)`` — owned by
-        #: :func:`repro.engine.access.simulated_dereference`
+        #: :func:`repro.engine.access._scan_stage_build`
         self.runtime: dict[int, dict[str, Any]] = {}
 
     # -- delta plumbing --------------------------------------------------

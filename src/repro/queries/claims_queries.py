@@ -99,11 +99,6 @@ class ClaimsLake:
             self.expenses_job(disease_codes, medicine_codes))
         return sum_expenses(result), result
 
-    def run_case_study_query(self, query_id: str) -> tuple[float, JobResult]:
-        """Run Q1, Q2, or Q3 by id."""
-        __, diseases, medicines = CASE_STUDY_QUERIES[query_id]
-        return self.query_expenses(diseases, medicines)
-
 
 def sum_expenses(result: JobResult) -> float:
     """Sum ``total_points`` over distinct claims in a job result.

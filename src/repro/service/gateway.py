@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.simulation import Event
@@ -533,11 +533,6 @@ class QueryGateway:
         for tracker in self.metrics.values():
             totals.merge(tracker.engine)
         return totals
-
-    def summary(self) -> dict[str, dict[str, Any]]:
-        """Per-tenant metric summaries, keyed by tenant name."""
-        return {name: tracker.summary()
-                for name, tracker in sorted(self.metrics.items())}
 
     def close(self) -> None:
         """Retire the dispatch loop (nothing queued is touched)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.engine.metrics import ExecutionMetrics
 from repro.errors import ExecutionError
@@ -129,9 +129,6 @@ class ServiceMetrics:
     def latency_p99(self) -> float:
         return percentile(self.latencies, 0.99)
 
-    def queue_wait_p50(self) -> float:
-        return percentile(self.queue_waits, 0.50)
-
     def queue_wait_p99(self) -> float:
         return percentile(self.queue_waits, 0.99)
 
@@ -147,24 +144,3 @@ class ServiceMetrics:
                 or self.last_completion <= self.first_arrival):
             return 0.0
         return self.completed / (self.last_completion - self.first_arrival)
-
-    def summary(self) -> dict[str, Any]:
-        """Flat dict view for reports and benchmark tables."""
-        return {
-            "tenant": self.tenant,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "backpressured": self.backpressured,
-            "shed": self.shed,
-            "expired_queued": self.expired_queued,
-            "expired_running": self.expired_running,
-            "degraded": self.degraded,
-            "completed": self.completed,
-            "failed": self.failed,
-            "latency_p50": self.latency_p50(),
-            "latency_p99": self.latency_p99(),
-            "queue_wait_p50": self.queue_wait_p50(),
-            "queue_wait_p99": self.queue_wait_p99(),
-            "goodput": self.goodput(),
-        }

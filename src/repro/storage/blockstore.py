@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.core.records import Record
 from repro.errors import StorageError, UnknownStructure
@@ -192,20 +192,6 @@ class BlockStore:
         """All records of the file, block by block."""
         for block in self.blocks(name):
             yield from block.records
-
-    def point_lookup(self, name: str,
-                     predicate: Callable[[Record], bool]) -> tuple[list[Record], int]:
-        """Find matching records the only way a block store can: scanning.
-
-        Returns ``(matches, bytes_scanned)`` — the cost term is what the
-        storage-ablation benchmark contrasts with the DFS's indexed lookups.
-        """
-        matches: list[Record] = []
-        scanned = 0
-        for block in self.blocks(name):
-            scanned += block.nbytes
-            matches.extend(r for r in block.records if predicate(r))
-        return matches, scanned
 
     def __contains__(self, name: str) -> bool:
         return name in self._files

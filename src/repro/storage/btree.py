@@ -7,7 +7,9 @@ This is a textbook B+tree:
 * unique keys in the tree, each holding a *list* of values (so secondary
   indexes with duplicate keys need no special casing);
 * leaves are chained for ordered range scans;
-* insertion with node splits, deletion with borrow/merge rebalancing;
+* insertion with node splits (entries are never deleted in place:
+  upserts kill them through delta-run tombstones and compaction rebuilds
+  the tree);
 * :meth:`BPlusTree.bulk_load` builds a packed tree from sorted pairs;
 * :meth:`BPlusTree.check_invariants` verifies the full B+tree contract and
   is exercised heavily by the property-based tests.
@@ -73,7 +75,7 @@ class BPlusTree:
 
     Args:
         order: maximum number of children of an internal node; leaves hold at
-            most ``order - 1`` keys.  Small orders make splits/merges easy to
+            most ``order - 1`` keys.  Small orders make splits easy to
             exercise in tests; the storage layer defaults to a realistic 64.
     """
 
@@ -113,24 +115,6 @@ class BPlusTree:
     def height(self) -> int:
         """Levels from root to leaf, inclusive (1 for a lone leaf)."""
         return self._height
-
-    def min_key(self) -> Any:
-        """Smallest key, or None for an empty tree."""
-        if self._num_keys == 0:
-            return None
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[0]
-        return node.keys[0]
-
-    def max_key(self) -> Any:
-        """Largest key, or None for an empty tree."""
-        if self._num_keys == 0:
-            return None
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
-        return node.keys[-1]
 
     # -- search ----------------------------------------------------------
 
@@ -203,7 +187,7 @@ class BPlusTree:
     def _page_no(self, node: Any) -> int:
         """Stable page number of a tree node, assigned on first traversal.
 
-        Numbers live on the nodes themselves, so they survive rebalancing
+        Numbers live on the nodes themselves, so they survive splits
         and stay unique for the lifetime of the tree; allocation order
         follows probe order, which is deterministic for a deterministic
         workload.
@@ -344,109 +328,6 @@ class BPlusTree:
         del node.children[middle + 1:]
         return separator, right
 
-    # -- deletion --------------------------------------------------------
-
-    def delete(self, key: Any, value: Any = None) -> int:
-        """Delete values under ``key``.
-
-        With ``value`` given, removes the first matching stored value;
-        without it, removes the key and all its values.  Returns the number
-        of values removed (0 if nothing matched).
-        """
-        removed = self._delete(self._root, key, value)
-        if not self._root.is_leaf and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-            self._height -= 1
-        return removed
-
-    def _delete(self, node: Any, key: Any, value: Any) -> int:
-        if node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
-            if index >= len(node.keys) or node.keys[index] != key:
-                return 0
-            bucket = node.values[index]
-            if value is None:
-                removed = len(bucket)
-                bucket.clear()
-            else:
-                try:
-                    bucket.remove(value)
-                except ValueError:
-                    return 0
-                removed = 1
-            self._num_values -= removed
-            if not bucket:
-                node.keys.pop(index)
-                node.values.pop(index)
-                self._num_keys -= 1
-            return removed
-
-        index = bisect.bisect_right(node.keys, key)
-        removed = self._delete(node.children[index], key, value)
-        if removed:
-            self._rebalance_child(node, index)
-        return removed
-
-    def _node_underflows(self, node: Any) -> bool:
-        return len(node.keys) < self._min_keys
-
-    def _rebalance_child(self, parent: _Internal, index: int) -> None:
-        child = parent.children[index]
-        if not self._node_underflows(child):
-            return
-        # Try borrowing from the left sibling, then the right, else merge.
-        if index > 0:
-            left = parent.children[index - 1]
-            if len(left.keys) > self._min_keys:
-                self._borrow_from_left(parent, index, left, child)
-                return
-        if index < len(parent.children) - 1:
-            right = parent.children[index + 1]
-            if len(right.keys) > self._min_keys:
-                self._borrow_from_right(parent, index, child, right)
-                return
-        if index > 0:
-            self._merge(parent, index - 1)
-        else:
-            self._merge(parent, index)
-
-    def _borrow_from_left(self, parent: _Internal, index: int,
-                          left: Any, child: Any) -> None:
-        if child.is_leaf:
-            child.keys.insert(0, left.keys.pop())
-            child.values.insert(0, left.values.pop())
-            parent.keys[index - 1] = child.keys[0]
-        else:
-            child.keys.insert(0, parent.keys[index - 1])
-            parent.keys[index - 1] = left.keys.pop()
-            child.children.insert(0, left.children.pop())
-
-    def _borrow_from_right(self, parent: _Internal, index: int,
-                           child: Any, right: Any) -> None:
-        if child.is_leaf:
-            child.keys.append(right.keys.pop(0))
-            child.values.append(right.values.pop(0))
-            parent.keys[index] = right.keys[0]
-        else:
-            child.keys.append(parent.keys[index])
-            parent.keys[index] = right.keys.pop(0)
-            child.children.append(right.children.pop(0))
-
-    def _merge(self, parent: _Internal, left_index: int) -> None:
-        """Merge children ``left_index`` and ``left_index + 1``."""
-        left = parent.children[left_index]
-        right = parent.children[left_index + 1]
-        if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
-            left.next = right.next
-        else:
-            left.keys.append(parent.keys[left_index])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        parent.keys.pop(left_index)
-        parent.children.pop(left_index + 1)
-
     # -- bulk loading ----------------------------------------------------
 
     @classmethod
@@ -467,18 +348,21 @@ class BPlusTree:
         buckets: list[list[Any]] = []
         sentinel = object()
         previous_key: Any = sentinel
+        bucket: list[Any] = []
         for key, value in pairs:
-            if previous_key is not sentinel and key == previous_key:
-                buckets[-1].append(value)
-                tree._num_values += 1
+            # No key equals the sentinel: the first pair always opens a
+            # bucket.
+            if key == previous_key:
+                bucket.append(value)
                 continue
             if previous_key is not sentinel and key < previous_key:
                 raise StorageError("bulk_load input must be sorted by key")
+            bucket = [value]
             keys.append(key)
-            buckets.append([value])
-            tree._num_keys += 1
-            tree._num_values += 1
+            buckets.append(bucket)
             previous_key = key
+        tree._num_keys = len(keys)
+        tree._num_values = sum(map(len, buckets))
 
         # Leaves: even split with per-leaf target around fill * max_keys.
         target = max(1, min(tree._max_keys, round(tree._max_keys * fill)))

@@ -12,8 +12,8 @@ indexes for each foreign key".
 :class:`~repro.storage.files.PartitionedFile` base files and
 :class:`~repro.storage.files.BtreeFile` indexes, remembers how each base
 file was keyed (the seed of the access-method registration that
-:mod:`repro.core.catalog` formalizes), and can derive local and global
-secondary indexes from key-extractor functions.
+:mod:`repro.core.catalog` formalizes), and fills local, global and
+replicated secondary indexes from one pass over a base file's heaps.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from repro.storage.files import (
 from repro.storage.partitioner import HashPartitioner, Partitioner
 
 __all__ = ["DistributedFileSystem", "LoaderInfo"]
-
-
-def _per_record(key_fn: KeyFn) -> KeysFn:
-    """The batch key extraction that applies ``key_fn`` to each record."""
-    return lambda records: list(map(key_fn, records))
 
 
 @dataclass
@@ -145,38 +140,6 @@ class DistributedFileSystem:
                 "DistributedFileSystem.load") from None
 
     # -- indexes ---------------------------------------------------------
-
-    def build_global_index(self, index_name: str, base_name: str,
-                           index_key_fn: KeyFn,
-                           num_partitions: Optional[int] = None,
-                           order: int = 64,
-                           partitioner: Optional[Partitioner] = None
-                           ) -> BtreeFile:
-        """Build a global secondary index, partitioned by the index key.
-
-        The paper builds one per foreign key: "global indexes for each
-        foreign key of each file.  Each global index is also distributed
-        into partitions by the corresponding foreign key."  Pass a
-        :class:`~repro.storage.partitioner.RangePartitioner` to make range
-        probes prunable to the overlapping partitions.
-        """
-        index = self.new_index(index_name, base_name, "global",
-                               num_partitions=num_partitions, order=order,
-                               partitioner=partitioner)
-        return self.build_indexes(base_name,
-                                  [(index, _per_record(index_key_fn))])[0]
-
-    def build_local_index(self, index_name: str, base_name: str,
-                          index_key_fn: KeyFn,
-                          order: int = 64) -> BtreeFile:
-        """Build a local secondary index, colocated with base partitions.
-
-        The paper builds these on date columns (e.g. ``o_orderdate``); range
-        probes visit every partition, each node handling its local ones.
-        """
-        index = self.new_index(index_name, base_name, "local", order=order)
-        return self.build_indexes(base_name,
-                                  [(index, _per_record(index_key_fn))])[0]
 
     def new_index(self, index_name: str, base_name: str, scope: str,
                   num_partitions: Optional[int] = None, order: int = 64,

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from operator import add, attrgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from operator import add
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.core.pointers import Pointer, PointerKind, PointerRange
 from repro.core.records import Record, estimate_size
@@ -186,9 +186,9 @@ def index_buckets(base: "PartitionedFile", partition_key_fn: KeyFn,
     buckets of entries sorted by index key — duplicates in base
     (partition, slot) order, the order a B-tree bulk load keeps — each
     with its keys beside it, and the bytes :attr:`BtreeFile.total_bytes`
-    counts for them.  Local entries colocate with the base record's
-    partition, global ones partition by the index key, replicated ones
-    land in every replica.
+    counts for them.  Entries land where
+    :meth:`BtreeFile.entry_partitions` places them; this is that rule's
+    batch form.
 
     Each entry's size is summed from its parts, to exactly the
     ``estimate_size`` of its payload: the field names, the partition key
@@ -247,8 +247,8 @@ def index_buckets(base: "PartitionedFile", partition_key_fn: KeyFn,
 
 def _sorted_by_key(keys: list[Any], entries: list[Record]) -> KeyedBucket:
     """``(keys, entries)`` in key order, equal keys in entry order: what
-    ``entries.sort(key=entry_key)`` gives, without reading each key back
-    through its entry."""
+    a stable sort of ``entries`` by ``entry.data.key`` gives, without
+    reading each key back through its entry."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return (list(map(keys.__getitem__, order)),
             list(map(entries.__getitem__, order)))
@@ -322,10 +322,6 @@ def _fill(buckets: list[list[Record]], bucket_keys: list[list[Any]],
         bucket_keys[pid].append(index_key)
 
 
-#: the index key of an entry record
-entry_key = attrgetter("data.key")
-
-
 def round_robin_placement(num_partitions: int,
                           num_nodes: int) -> list[int]:
     """Default placement: partition ``i`` lives on node ``i % num_nodes``."""
@@ -359,9 +355,6 @@ class File:
         """Node hosting partition ``partition_id``."""
         self.partitioner.validate(partition_id)
         return self._placement[partition_id]
-
-    def node_of_key(self, partition_key: Any) -> int:
-        return self.node_of(self.partition_of_key(partition_key))
 
     def partitions_on_node(self, node_id: int) -> list[int]:
         """Partition ids placed on ``node_id``."""
@@ -577,52 +570,42 @@ class BtreeFile(File):
 
     # -- writes ----------------------------------------------------------
 
-    def insert(self, index_key: Any, entry: Record,
-               partition_key: Optional[Any] = None) -> None:
-        """Insert an index entry.
+    def entry_partitions(self, partition_key: Any,
+                         index_key: Any) -> Sequence[int]:
+        """The partitions an entry for ``index_key`` over a base record
+        with partition key ``partition_key`` lands in.
 
-        For a global index, ``partition_key`` defaults to the index key
-        (that is what *makes* it global).  For a local index the caller must
-        pass the *base file's* partition key so the entry is colocated.
+        A local entry sits in its base record's partition, a global one
+        in its index key's (that is what *makes* it global), a replicated
+        one in every replica.  :meth:`insert`, the ingest commit and the
+        delta backfill place entries by this rule, so probes of partition
+        ``p`` see exactly the delta entries the compacted tree would
+        hold; :func:`index_buckets` is its batch form.
         """
-        if self.scope == "replicated":
-            # Full replication: the entry lands in every node's copy.
-            for tree in self.trees:
-                tree.insert(index_key, entry)
-            self._total_bytes += (entry.size_bytes
-                                  + _ENTRY_OVERHEAD) * len(self.trees)
-            return
-        if partition_key is None:
-            if self.scope == "local":
-                raise StorageError(
-                    "local index inserts need the base partition key")
-            partition_key = index_key
-        pid = self.partition_of_key(partition_key)
-        self.trees[pid].insert(index_key, entry)
-        self._total_bytes += entry.size_bytes + _ENTRY_OVERHEAD
+        if self.scope == "global":
+            return (self.partitioner.partition(index_key),)
+        if self.scope == "local":
+            return (self.partitioner.partition(partition_key),)
+        return range(len(self.trees))
 
-    def bulk_build(self, entries: Iterable[tuple[Any, Record, Any]],
-                   fill: float = 0.9) -> None:
-        """(Re)build all partitions from ``(index_key, entry,
-        partition_key)`` triples, each ``entry`` an :func:`IndexEntry`
-        for ``index_key``: routes them into sorted buckets for
-        :meth:`load_entries`."""
-        buckets: list[list[Record]] = [
-            [] for __ in range(self.num_partitions)]
-        replicated = self.scope == "replicated"
-        copies = len(buckets) if replicated else 1
-        total = 0
-        for __, entry, partition_key in entries:
-            if replicated:
-                for bucket in buckets:
-                    bucket.append(entry)
-            else:
-                buckets[self.partition_of_key(partition_key)].append(entry)
-            total += (entry.size_bytes + _ENTRY_OVERHEAD) * copies
-        for bucket in buckets:
-            bucket.sort(key=entry_key)
-        self.load_entries([(list(map(entry_key, bucket)), bucket)
-                           for bucket in buckets], total, fill)
+    def insert(self, index_key: Any, entry: Record,
+               partition_key: Optional[Any] = None) -> int:
+        """Insert an index entry where :meth:`entry_partitions` places
+        it; returns how many trees it wrote (each replica is a separate
+        physical write).
+
+        ``partition_key`` is the *base file's* partition key of the
+        record the entry points at: a local index needs it to colocate
+        the entry, the other scopes do not.
+        """
+        if partition_key is None and self.scope == "local":
+            raise StorageError(
+                "local index inserts need the base partition key")
+        pids = self.entry_partitions(partition_key, index_key)
+        for pid in pids:
+            self.trees[pid].insert(index_key, entry)
+        self._total_bytes += (entry.size_bytes + _ENTRY_OVERHEAD) * len(pids)
+        return len(pids)
 
     def load_entries(self, buckets: Sequence[KeyedBucket],
                      total_bytes: int, fill: float = 0.9) -> None:

@@ -76,9 +76,6 @@ class HeapFile:
         """Fetch all records stored under an in-partition key."""
         return [self._records[slot] for slot in self._key_map.get(key, [])]
 
-    def contains_key(self, key: Any) -> bool:
-        return key in self._key_map
-
     def slots_for_key(self, key: Any) -> list[int]:
         """Physical slots stored under an in-partition key."""
         return list(self._key_map.get(key, []))

@@ -555,13 +555,3 @@ class TestReconciliation:
         assert [t.state for t in tickets] == ["completed"] * 2
         assert [t.result.metrics.node_crashes for t in tickets] == [1, 1]
         assert gateway.engine_totals().node_crashes == 1
-
-    def test_summary_reports_every_tenant(self, catalog):
-        cluster, gateway = make_gateway(catalog)
-        gateway.register(TenantSpec("a"))
-        gateway.register(TenantSpec("b"))
-        drain(cluster, [gateway.submit("a", make_job())])
-        report = gateway.summary()
-        assert set(report) == {"a", "b"}
-        assert report["a"]["completed"] == 1
-        assert report["b"]["submitted"] == 0

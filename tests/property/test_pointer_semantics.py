@@ -3,7 +3,7 @@
 Every referencer emission builds a pointer, so :class:`Pointer` is an
 immutable tuple subclass rather than a frozen dataclass.  Nothing that
 reads a pointer — equality, hashing, printing, pickling, copying, the
-broadcast helpers, size estimates, partition hashing, delta-tag
+broadcast test, size estimates, partition hashing, delta-tag
 recognition — may be able to tell the difference, a pointer must never
 equal a plain tuple (or a :class:`PointerRange`), and nothing may write
 to it.
@@ -36,10 +36,6 @@ class DataclassPointer:
     @property
     def is_broadcast(self) -> bool:
         return self.partition_key is None
-
-    def with_partition(self, partition_key: Any) -> "DataclassPointer":
-        return DataclassPointer(self.file, partition_key, self.key,
-                                self.kind)
 
     def __repr__(self) -> str:
         target = "*" if self.is_broadcast else repr(self.partition_key)
@@ -81,17 +77,13 @@ def test_equality_and_hash_agree_with_the_dataclass(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fields, st.one_of(st.none(), keys))
-def test_fields_and_broadcast_helpers_agree(values, partition_key):
+@given(fields)
+def test_fields_and_broadcast_helpers_agree(values):
     pointer, twin = both(values)
     assert (pointer.file, pointer.partition_key, pointer.key,
             pointer.kind) == (twin.file, twin.partition_key, twin.key,
                               twin.kind)
     assert pointer.is_broadcast is twin.is_broadcast
-    bound = pointer.with_partition(partition_key)
-    assert type(bound) is Pointer
-    assert repr(bound) == repr(twin.with_partition(partition_key))
-    assert hash(bound) == hash(twin.with_partition(partition_key))
 
 
 @settings(max_examples=200, deadline=None)

@@ -184,7 +184,9 @@ def test_dfs_index_range_probe_equals_scan_filter(rows, low, width):
     dfs = DistributedFileSystem(num_nodes=2)
     records = [Record({"pk": pk, "attr": attr}) for pk, attr in rows]
     dfs.load("t", records, partition_key_fn=lambda r: r["pk"])
-    index = dfs.build_local_index("idx", "t", lambda r: r["attr"])
+    index, = dfs.build_indexes("t", [(
+        dfs.new_index("idx", "t", "local"),
+        lambda batch: [record["attr"] for record in batch])])
     probe = PointerRange("idx", low, high)
     found = []
     for pid in range(index.num_partitions):

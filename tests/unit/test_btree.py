@@ -8,7 +8,7 @@ from repro.storage.btree import BPlusTree, _even_groups
 
 @pytest.fixture
 def small_tree():
-    """Order-4 tree: splits and merges trigger quickly."""
+    """Order-4 tree: splits trigger quickly."""
     return BPlusTree(order=4)
 
 
@@ -19,8 +19,6 @@ class TestBasics:
         assert small_tree.height == 1
         assert small_tree.search(1) == []
         assert 1 not in small_tree
-        assert small_tree.min_key() is None
-        assert small_tree.max_key() is None
         assert list(small_tree.items()) == []
         small_tree.check_invariants()
 
@@ -52,8 +50,6 @@ class TestBasics:
             small_tree.insert(key, key * 10)
         small_tree.check_invariants()
         assert [k for k, _ in small_tree.items()] == list(range(200))
-        assert small_tree.min_key() == 0
-        assert small_tree.max_key() == 199
         assert small_tree.height > 1
 
     def test_string_keys(self, small_tree):
@@ -110,66 +106,6 @@ class TestRange:
 
     def test_keys_iterator(self, populated):
         assert list(populated.keys()) == list(range(0, 100, 2))
-
-
-class TestDelete:
-    def test_delete_missing_key_returns_zero(self, small_tree):
-        small_tree.insert(1, "a")
-        assert small_tree.delete(99) == 0
-        assert small_tree.delete(1, value="nope") == 0
-        assert len(small_tree) == 1
-
-    def test_delete_specific_value(self, small_tree):
-        small_tree.insert(1, "a")
-        small_tree.insert(1, "b")
-        assert small_tree.delete(1, value="a") == 1
-        assert small_tree.search(1) == ["b"]
-        assert small_tree.num_keys == 1
-
-    def test_delete_whole_key(self, small_tree):
-        small_tree.insert(1, "a")
-        small_tree.insert(1, "b")
-        assert small_tree.delete(1) == 2
-        assert small_tree.search(1) == []
-        assert small_tree.num_keys == 0
-
-    def test_delete_everything_randomly(self):
-        import random
-
-        rng = random.Random(11)
-        tree = BPlusTree(order=4)
-        keys = list(range(300))
-        rng.shuffle(keys)
-        for key in keys:
-            tree.insert(key, key)
-        rng.shuffle(keys)
-        for i, key in enumerate(keys):
-            assert tree.delete(key) == 1
-            if i % 37 == 0:
-                tree.check_invariants()
-        tree.check_invariants()
-        assert len(tree) == 0
-        assert tree.height == 1
-
-    def test_interleaved_insert_delete(self):
-        tree = BPlusTree(order=5)
-        reference: dict[int, int] = {}
-        import random
-
-        rng = random.Random(3)
-        for step in range(2000):
-            key = rng.randrange(50)
-            if rng.random() < 0.6:
-                tree.insert(key, step)
-                reference.setdefault(key, 0)
-                reference[key] = reference[key] + 1
-            else:
-                removed = tree.delete(key)
-                expected = reference.pop(key, 0)
-                assert removed == expected
-        tree.check_invariants()
-        assert tree.num_keys == len(reference)
-        assert len(tree) == sum(reference.values())
 
 
 class TestBulkLoad:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bench import (
-    SweepTable,
-    format_factor,
-    format_seconds,
-    geometric_mean,
-)
+from repro.bench import SweepTable, format_factor, format_seconds
 from repro.config import (
     EngineConfig,
     balanced_cluster_spec,
@@ -153,11 +148,6 @@ class TestFormatting:
         assert format_factor(float("inf")) == "-"
         assert format_factor(0.0) == "-"
         assert format_factor(float("nan")) == "-"
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-        assert geometric_mean([0, 5]) == pytest.approx(5.0)
 
 
 class TestSweepTable:

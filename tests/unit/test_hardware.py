@@ -32,7 +32,7 @@ class TestDisk:
         sim.run(until=all_of(sim, procs))
         # 8 reads on 4 spindles -> two waves.
         assert sim.now == pytest.approx(0.010)
-        assert disk.peak_concurrent_reads == 4
+        assert disk._spindles.max_in_use == 4
 
     def test_sequential_read_bandwidth_bound(self):
         sim = Simulator()
@@ -195,8 +195,8 @@ class TestNodeAndCluster:
 
         procs = [cluster.launch(reader(i)) for i in range(2)]
         cluster.run_until(cluster.sim.all_of(procs))
-        assert cluster.total_random_reads() == 2
-        assert cluster.total_bytes_scanned() == 2000
+        assert sum(node.disk.random_reads for node in cluster.nodes) == 2
+        assert sum(node.disk.bytes_scanned for node in cluster.nodes) == 2000
 
 
 def test_paper_and_laptop_presets():

@@ -1,15 +1,19 @@
 """Differential: ``index_buckets`` reproduces the per-index dict-entry
-loop it replaced.
+loop it replaced, and places every entry by ``BtreeFile``'s one rule.
 
 The oracle below is the loop every index build, major compaction and
 scan-recovery table used to run on its own: one heap pass per index,
-a fresh dict payload per entry, a triples list bucketed by placement
-and sorted stably by key.  ``index_buckets`` makes compact read-only
-payloads for all indexes of a base file in one pass and sums their
-sizes from parts.  Per partition, keys, entry fields, duplicate order,
-per-entry ``size_bytes`` and ``BtreeFile.total_bytes`` must all match,
-for local, global, replicated and range-partitioned global indexes, on
-a TPC-H lake and on the claims lake (list-valued keys).
+a fresh dict payload per entry, bucketed where
+``BtreeFile.entry_partitions`` places it and sorted stably by key.
+``index_buckets`` makes compact read-only payloads for all indexes of a
+base file in one pass, sums their sizes from parts and routes each
+distinct key once: it is the batch form of that rule.  Per partition,
+keys, entry fields, duplicate order, per-entry ``size_bytes`` and
+``BtreeFile.total_bytes`` must all match, for local, global, replicated
+and range-partitioned global indexes, on a TPC-H lake and on the claims
+lake (list-valued keys).  ``insert_record`` and the ingest commit place
+through the same rule, so the same new records land in the same
+partitions either way.
 """
 
 import bisect
@@ -41,8 +45,8 @@ def oracle_buckets(catalog, name):
     index = catalog.dfs.get_index(name)
     base = catalog.dfs.get_base(definition.base_file)
     loader = catalog.dfs.loader_info(definition.base_file)
-    entries = []
-    for pid, heap in enumerate(base.partitions):
+    buckets = [[] for __ in range(index.num_partitions)]
+    for heap in base.partitions:
         for slot, record in enumerate(heap.scan()):
             base_pk = loader.partition_key_fn(record)
             for index_key in definition.extract_keys(record):
@@ -50,17 +54,8 @@ def oracle_buckets(catalog, name):
                                 "target_partition_key": base_pk,
                                 "target_key": slot,
                                 "target_kind": "physical"})
-                placement_key = (base_pk if definition.scope == "local"
-                                 else index_key)
-                entries.append((index_key, entry, placement_key))
-    buckets = [[] for __ in range(index.num_partitions)]
-    for index_key, entry, placement_key in entries:
-        if index.scope == "replicated":
-            for bucket in buckets:
-                bucket.append((index_key, entry))
-            continue
-        buckets[index.partition_of_key(placement_key)].append(
-            (index_key, entry))
+                for pid in index.entry_partitions(base_pk, index_key):
+                    buckets[pid].append((index_key, entry))
     for bucket in buckets:
         bucket.sort(key=lambda pair: pair[0])
     return buckets
@@ -80,13 +75,8 @@ def oracle_insert(catalog, buckets, name, record, slot, totals):
     for index_key in definition.extract_keys(record):
         entry = Record({"key": index_key, "target_partition_key": base_pk,
                         "target_key": slot, "target_kind": "physical"})
-        if definition.scope == "replicated":
-            targets = buckets
-        else:
-            placement_key = (base_pk if definition.scope == "local"
-                             else index_key)
-            targets = [buckets[index.partition_of_key(placement_key)]]
-        for bucket in targets:
+        for pid in index.entry_partitions(base_pk, index_key):
+            bucket = buckets[pid]
             # B-tree inserts append after every equal key.
             at = bisect.bisect_right([key for key, __ in bucket], index_key)
             bucket.insert(at, (index_key, entry))
@@ -224,12 +214,63 @@ def test_insert_record_matches_oracle(lake):
             pid = base.partition_of_key(loader.partition_key_fn(record))
             slot = len(base.partitions[pid])
             __, writes = catalog.insert_record(file_name, record)
-            assert writes > 0
+            assert writes == sum(
+                len(catalog.dfs.get_index(name).entry_partitions(
+                    loader.partition_key_fn(record), key))
+                for name in catalog.maintained_structures(file_name)
+                for key in catalog.definition(name).extract_keys(record))
             for name in catalog.maintained_structures(file_name):
                 oracle_insert(catalog, expected[name], name, record, slot,
                               totals)
     for name, buckets in expected.items():
         assert_index_matches(catalog, name, buckets, totals[name])
+
+
+def placements(entries):
+    """``(index key, base partition key)`` of each ``(partition, key,
+    entry)``, counted per partition."""
+    placed = {}
+    for pid, key, entry in entries:
+        placed.setdefault(pid, Counter())[
+            key, entry.data["target_partition_key"]] += 1
+    return placed
+
+
+def tree_entries(index):
+    return [(pid, key, entry) for pid, tree in enumerate(index.trees)
+            for key, entry in tree.items()]
+
+
+@pytest.mark.parametrize("make_lake", [LAKES[name] for name in sorted(LAKES)],
+                         ids=sorted(LAKES))
+def test_insert_record_and_ingest_commit_place_alike(make_lake):
+    """The same new records, written once through ``insert_record`` (in
+    place, into the trees) and once through an ingest commit (into
+    index delta runs), land in the same partitions of every index."""
+    inserted, fresh = make_lake()
+    ingested, __ = make_lake()
+    inserted.build_all()
+    ingested.build_all()
+    before = {name: placements(tree_entries(inserted.dfs.get_index(name)))
+              for name in inserted.access_methods()}
+    coordinator = IngestCoordinator(ingested)
+    for i, (file_name, (appends, __)) in enumerate(fresh.items()):
+        for record in appends:
+            inserted.insert_record(file_name, record)
+        coordinator.flush(coordinator.stage(MicroBatch(
+            file_name, appends=appends, event_time=float(i + 1))))
+    for name in inserted.access_methods():
+        after = placements(tree_entries(inserted.dfs.get_index(name)))
+        added = {pid: counts - before[name].get(pid, Counter())
+                 for pid, counts in after.items()}
+        runs = ingested.delta_runs(name)
+        assert len(runs) == 1
+        committed = placements(
+            (pid, key, entry) for pid in runs[0].partitions()
+            for key, entry, __, __ in runs[0].items(pid))
+        assert committed
+        assert {pid: counts for pid, counts in added.items() if counts} \
+            == committed
 
 
 def test_major_compaction_matches_oracle(lake):

@@ -28,6 +28,10 @@ def lake():
     return dfs
 
 
+def key_batch(records):
+    return [record["k"] for record in records]
+
+
 def expected_entries(dfs):
     """``(index key, one-off entry, base partition)`` per record, in base
     (partition, slot) order."""
@@ -61,14 +65,14 @@ def assert_index_holds(index, buckets):
 def test_equal_keys_of_other_types_keep_their_own_sizes_and_routes():
     dfs = lake()
     entries = expected_entries(dfs)
-    index = dfs.build_global_index("g", "t", lambda r: r["k"],
-                                   num_partitions=5)
+    index = dfs.new_index("g", "t", "global", num_partitions=5)
+    local = dfs.new_index("l", "t", "local")
+    dfs.build_indexes("t", [(index, key_batch), (local, key_batch)])
     buckets = [[] for __ in range(index.num_partitions)]
     for key, entry, __ in entries:
         buckets[index.partitioner.partition(key)].append((key, entry))
     assert_index_holds(index, buckets)
 
-    local = dfs.build_local_index("l", "t", lambda r: r["k"])
     buckets = [[] for __ in range(local.num_partitions)]
     for key, entry, pid in entries:
         buckets[pid].append((key, entry))

@@ -32,7 +32,6 @@ from repro.ingest import (
     DeltaRun,
     IngestCoordinator,
     MicroBatch,
-    batch_stream,
     bursty_gaps,
     poisson_gaps,
 )
@@ -224,16 +223,6 @@ class TestSources:
     def test_zero_rate_yields_nothing(self):
         assert list(poisson_gaps(0.0, 10.0)) == []
         assert list(bursty_gaps(0.0, 10.0)) == []
-
-    def test_batch_stream_stops_on_none(self):
-        def make(i, at):
-            if i == 2:
-                return None
-            return MicroBatch("f", appends=[rec(i)], event_time=at)
-
-        out = list(batch_stream(iter([1.0, 1.0, 1.0, 1.0]), make))
-        assert len(out) == 2
-        assert out[1][1].event_time == 2.0
 
 
 class TestTrafficSensorGenerator:

@@ -56,7 +56,7 @@ FIRST_USES = {
     "Partitioner.partition": (lambda: _Partitioner(4).partition(1),
                               "partition"),
     "File.partition_of_key via its partitioner": (
-        lambda: _File("f", _Partitioner(2), [0, 1]).node_of_key(1),
+        lambda: _File("f", _Partitioner(2), [0, 1]).partition_of_key(1),
         "partition"),
     "Referencer.reference": (
         lambda: _Referencer().reference(RECORD, {}), "reference"),

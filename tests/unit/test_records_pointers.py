@@ -84,14 +84,6 @@ class TestPointer:
         assert Pointer("f", None, 1).is_broadcast
         assert not Pointer("f", 0, 1).is_broadcast
 
-    def test_with_partition(self):
-        broadcast = Pointer("f", None, 1)
-        bound = broadcast.with_partition(9)
-        assert bound.partition_key == 9
-        assert bound.key == 1
-        assert bound.file == "f"
-        assert broadcast.is_broadcast  # original untouched (frozen)
-
     def test_kinds(self):
         assert Pointer("f", 1, 1).kind is PointerKind.LOGICAL
         physical = Pointer("f", 1, 3, PointerKind.PHYSICAL)

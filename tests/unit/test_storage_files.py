@@ -27,6 +27,14 @@ def rec(**fields):
     return Record(fields)
 
 
+def build_index(dfs, name, base, scope, key_fn, **shape):
+    """One index over ``base``, built as the catalog builds: shaped by
+    ``new_index``, filled from one heap pass by ``build_indexes``."""
+    index = dfs.new_index(name, base, scope, **shape)
+    return dfs.build_indexes(
+        base, [(index, lambda records: list(map(key_fn, records)))])[0]
+
+
 class TestHeapFile:
     def test_append_get_roundtrip(self):
         heap = HeapFile("h")
@@ -40,8 +48,6 @@ class TestHeapFile:
         heap.append(rec(a=2), key="k")
         assert heap.lookup("k") == [rec(a=1), rec(a=2)]
         assert heap.lookup("missing") == []
-        assert heap.contains_key("k")
-        assert not heap.contains_key("missing")
 
     def test_bad_slot_raises(self):
         heap = HeapFile("h")
@@ -144,16 +150,6 @@ class TestBtreeFile:
             found.extend(index.range_lookup(prange, pid))
         assert sorted(e["key"] for e in found) == [3, 4, 5, 6]
 
-    def test_bulk_build(self):
-        index = BtreeFile("idx", HashPartitioner(3), num_nodes=1)
-        triples = [(k, IndexEntry(k, k, k), k) for k in range(100)]
-        index.bulk_build(triples)
-        assert len(index) == 100
-        for tree in index.trees:
-            tree.check_invariants()
-        pointer = Pointer("idx", 42, 42)
-        assert index.lookup(pointer)[0]["target_key"] == 42
-
     def test_probe_io_count(self):
         index = BtreeFile("idx", HashPartitioner(1), num_nodes=1, order=11)
         assert index.probe_io_count(0) == 1
@@ -195,14 +191,15 @@ class TestDistributedFileSystem:
             dfs.get("missing")
 
     def test_get_base_type_check(self, dfs):
-        dfs.build_global_index("idx_fk", "base", lambda r: r["fk"])
+        build_index(dfs, "idx_fk", "base", "global", lambda r: r["fk"])
         with pytest.raises(StorageError):
             dfs.get_base("idx_fk")
         with pytest.raises(StorageError):
             dfs.get_index("base")
 
     def test_global_index_probe_single_partition(self, dfs):
-        index = dfs.build_global_index("idx_fk", "base", lambda r: r["fk"])
+        index = build_index(dfs, "idx_fk", "base", "global",
+                            lambda r: r["fk"])
         assert index.scope == "global"
         # All fk=3 entries hash to one partition; probe finds all 20.
         pid = index.partition_of_key(3)
@@ -214,8 +211,8 @@ class TestDistributedFileSystem:
 
     def test_local_index_colocated_with_base(self, dfs):
         base = dfs.get_base("base")
-        index = dfs.build_local_index("idx_date", "base",
-                                      lambda r: r["date"])
+        index = build_index(dfs, "idx_date", "base", "local",
+                            lambda r: r["date"])
         assert index.scope == "local"
         assert index.num_partitions == base.num_partitions
         for pid in range(index.num_partitions):
@@ -227,8 +224,8 @@ class TestDistributedFileSystem:
         assert total == 10
 
     def test_local_index_range_union_matches_scan(self, dfs):
-        index = dfs.build_local_index("idx_date", "base",
-                                      lambda r: r["date"])
+        index = build_index(dfs, "idx_date", "base", "local",
+                            lambda r: r["date"])
         prange = PointerRange("idx_date", 2003, 2005)
         found = []
         for pid in range(index.num_partitions):
@@ -241,14 +238,14 @@ class TestDistributedFileSystem:
         dfs = DistributedFileSystem(num_nodes=2)
         records = [rec(pk=1, fk=5), rec(pk=2)]  # second lacks fk
         dfs.load("t", records, partition_key_fn=lambda r: r["pk"])
-        index = dfs.build_global_index("idx", "t", lambda r: r.get("fk"))
+        index = build_index(dfs, "idx", "t", "global", lambda r: r.get("fk"))
         assert len(index) == 1
 
     def test_loader_info_required_for_index(self):
         dfs = DistributedFileSystem(num_nodes=2)
         dfs.create_file("empty")
         with pytest.raises(StorageError):
-            dfs.build_global_index("idx", "empty", lambda r: r["x"])
+            build_index(dfs, "idx", "empty", "global", lambda r: r["x"])
 
     def test_drop(self, dfs):
         dfs.drop("base")
@@ -278,13 +275,6 @@ class TestBlockStore:
         store.load("f", records)
         assert list(store.scan("f")) == records
         assert store.num_records("f") == 25
-
-    def test_point_lookup_scans_everything(self):
-        store = BlockStore(num_nodes=2, block_size=50)
-        store.load("f", [rec(i=i) for i in range(100)])
-        matches, scanned = store.point_lookup("f", lambda r: r["i"] == 42)
-        assert [m["i"] for m in matches] == [42]
-        assert scanned == store.file_bytes("f")  # the whole file
 
     def test_duplicate_and_unknown_names(self):
         store = BlockStore(num_nodes=1)
@@ -369,7 +359,8 @@ class TestProbePageIds:
     def _index(self, n=300, order=8):
         index = BtreeFile("idx", HashPartitioner(1), num_nodes=1,
                           order=order)
-        index.bulk_build((k, IndexEntry(k, k, k), k) for k in range(n))
+        index.load_entries([(list(range(n)),
+                             [IndexEntry(k, k, k) for k in range(n)])], 0)
         return index
 
     def test_btree_point_probe_pages(self):
@@ -400,30 +391,42 @@ class TestProbePageIds:
 
 
 class TestBtreeTotalBytes:
-    def _entries(self, n=200):
-        return [(k, IndexEntry(k, k, k), k) for k in range(n)]
+    @staticmethod
+    def _dfs(n, num_nodes=1):
+        dfs = DistributedFileSystem(num_nodes=num_nodes)
+        dfs.load("t", [rec(k=k) for k in range(n)],
+                 partition_key_fn=lambda r: r["k"])
+        return dfs
 
     def test_counter_matches_between_write_paths(self):
-        built = BtreeFile("a", HashPartitioner(3), num_nodes=1)
-        built.bulk_build(self._entries())
+        dfs = self._dfs(200)
+        built = build_index(dfs, "a", "t", "global", lambda r: r["k"],
+                            num_partitions=3)
         inserted = BtreeFile("b", HashPartitioner(3), num_nodes=1)
-        for key, entry, pkey in self._entries():
-            inserted.insert(key, entry, partition_key=pkey)
+        for heap in dfs.get_base("t").partitions:
+            for slot, record in enumerate(heap.scan()):
+                inserted.insert(record["k"], IndexEntry(
+                    record["k"], record["k"], slot, PointerKind.PHYSICAL),
+                    record["k"])
         assert built.total_bytes == inserted.total_bytes > 0
+        assert ([list(tree.items()) for tree in built.trees]
+                == [list(tree.items()) for tree in inserted.trees])
 
     def test_replicated_counts_every_copy(self):
-        single = BtreeFile("s", HashPartitioner(1), num_nodes=1)
-        single.bulk_build(self._entries(50))
-        replicated = BtreeFile("r", HashPartitioner(4), num_nodes=4,
-                               scope="replicated")
-        replicated.bulk_build(self._entries(50))
+        dfs = self._dfs(50, num_nodes=4)
+        single = dfs.new_index("s", "t", "global", num_partitions=1)
+        replicated = dfs.new_index("r", "t", "replicated")
+        key = lambda records: [r["k"] for r in records]
+        dfs.build_indexes("t", [(single, key), (replicated, key)])
         assert replicated.total_bytes == 4 * single.total_bytes
-        replicated.insert(999, IndexEntry(999, 999, 999))
+        assert replicated.insert(999, IndexEntry(999, 999, 999)) == 4
         assert replicated.total_bytes > 4 * single.total_bytes
 
     def test_rebuild_resets_the_counter(self):
-        index = BtreeFile("a", HashPartitioner(2), num_nodes=1)
-        index.bulk_build(self._entries(100))
+        dfs = self._dfs(100)
+        index = build_index(dfs, "a", "t", "global", lambda r: r["k"],
+                            num_partitions=2)
         first = index.total_bytes
-        index.bulk_build(self._entries(100))
+        dfs.load_indexes("t", [(index, lambda records: [r["k"]
+                                                        for r in records])])
         assert index.total_bytes == first

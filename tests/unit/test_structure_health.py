@@ -245,13 +245,16 @@ class TestCrashSafeBuilds:
         assert done <= set(range(base.num_partitions))
         assert "idx" not in catalog.dfs  # nothing half-materialized
 
-        before = cluster.total_bytes_scanned()
+        def scanned():
+            return sum(node.disk.bytes_scanned for node in cluster.nodes)
+
+        before = scanned()
         built2, elapsed2 = worker.run_pending()
         missing = [p for p in range(base.num_partitions) if p not in done]
         expected = sum(base.partition_bytes(p) for p in missing)
         assert built2 == ["idx"]
         assert elapsed2 > 0.0
-        assert cluster.total_bytes_scanned() - before == expected
+        assert scanned() - before == expected
         assert catalog.state("idx") is StructureState.READY
         assert catalog.completed_partitions("idx") == frozenset()
         assert len(catalog.dfs.get_index("idx")) == 4000
@@ -304,9 +307,6 @@ class TestPageCorruptionFaults:
             self.corrupt_cluster(node=9)  # unknown node
         plan = FaultPlan(page_corruptions=[PageCorruption("idx", 0.1)])
         assert isinstance(plan.page_corruptions, tuple)
-        assert FaultPlan(page_corruptions=(PageCorruption("idx", 0.0),)
-                         ).is_noop
-        assert not plan.is_noop
 
     def test_verdicts_are_seeded_and_stable(self):
         first = self.corrupt_cluster().faults
