@@ -232,20 +232,22 @@ def test_ext_ingest(benchmark, show, save_result):
               f"rows through the gateway background lane, "
               f"Q5' selectivity {SELECTIVITY:g})",
         columns=["compaction", "queries", "p50", "p99",
-                 "staleness (batches)", "delta probes/q", "final depth",
-                 "minor", "major"])
+                 "staleness (batches)", "delta probes/q", "delta reads/q",
+                 "final depth", "minor", "major"])
     for policy_name, run in results["runs"].items():
         done = completed_queries(run)
         stamps = [(t.result.metrics.freshness_watermark or 0.0, staged)
                   for t, staged in done]
         staleness = mean([staged - stamp for stamp, staged in stamps])
         probes = mean([t.result.metrics.delta_probes for t, __ in done])
+        reads = mean([t.result.metrics.delta_run_reads for t, __ in done])
         m = run["metrics"]
         table.add_row(
             policy_name, f"{m.completed}/{m.submitted}",
             format_seconds(m.latency_p50()),
             format_seconds(m.latency_p99()),
-            round(staleness, 2), round(probes, 1), run["final_depth"],
+            round(staleness, 2), round(probes, 1), round(reads, 1),
+            run["final_depth"],
             run["compactor"].minor_compactions,
             run["compactor"].major_compactions)
     table.add_note(

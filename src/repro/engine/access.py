@@ -706,23 +706,33 @@ def _charged_delta_merge(cluster: Cluster, metrics: ExecutionMetrics,
     """Delta merge for one funnel unit plus its simulated cost, on the
     disk serving the probed partition.
 
-    Every probe that consults the runs merges them.  A per-record unit
-    pays one random read per run; a batch reads the runs **once** (one
-    batched read) for all its probes — the batched charging rule.  The
-    reads are paid before the merge counts anything, so a unit retried
-    after a failed delta-run read counts its merge once."""
+    Every probe that consults the runs merges them, but a run's key
+    filter stays in memory (:meth:`~repro.ingest.delta.DeltaRun.may_hold`),
+    so only the runs whose filter names a probe's key are read from
+    disk.  A per-record unit pays one random read per such run; a batch
+    reads the runs that may hold any of its probes' keys **once** (one
+    batched read) — the batched charging rule.  A probe that no run can
+    hold reads nothing.  The reads are paid before the merge counts
+    anything, so a unit retried after a failed delta-run read counts its
+    merge once."""
     # A snapshot: a run committed while the reads are in flight is the
     # next probe's to merge, not this one's.
     runs = list(catalog.delta_runs(file.name))
-    if runs and any(_consults_runs(file, target) for target, __ in probes):
+    targets = [target for target, __ in probes
+               if _consults_runs(file, target)]
+    reads = sum(1 for run in runs
+                if any(run.may_hold(partition_id, target)
+                       for target in targets))
+    if reads:
         disk = cluster.node(cluster.serving_node(
             file.node_of(partition_id))).disk
         if batch:
-            yield from disk.random_read_batch(len(runs))
+            yield from disk.random_read_batch(reads)
         else:
-            for __ in runs:
+            for __ in range(reads):
                 yield from disk.random_read()
-        metrics.random_reads += len(runs)
+        metrics.random_reads += reads
+        metrics.delta_run_reads += reads
     return [_merge_deltas(metrics, dereferencer, file, target, partition_id,
                           context, runs, records)
             for (target, context), records in zip(probes, outputs)]
@@ -1096,7 +1106,8 @@ def count_only_dereference(metrics: ExecutionMetrics, stage: int,
 # * **CPU charged per batch, sliver per record**: one ``process_tuples``
 #   call over the combined record count;
 # * **delta runs merge once per batch**: the funnel's delta merge reads
-#   each unmerged run once (one batched read), not once per probe;
+#   each unmerged run whose key filter names one of the batch's probes
+#   once (one batched read), not once per probe;
 # * **one fault draw / corruption check sweep per batch**: a transient
 #   fault or checksum failure fails (and retries) the batch as a unit.
 #

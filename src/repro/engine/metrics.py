@@ -81,9 +81,13 @@ class ExecutionMetrics:
     quarantines: int = 0
     #: probes re-served from a scan-built recovery table after quarantine
     corruption_fallbacks: int = 0
-    #: unmerged delta runs consulted by delta-aware probes (0 on static
-    #: lakes — the streaming-ingest path never fires there)
+    #: unmerged delta runs consulted by delta-aware probes: filter
+    #: checks, not reads (0 on static lakes — the streaming-ingest path
+    #: never fires there)
     delta_probes: int = 0
+    #: unmerged delta runs whose pages a delta-aware unit read, because
+    #: their key filter named one of its probes (<= ``delta_probes``)
+    delta_run_reads: int = 0
     #: live records/entries served from delta runs (post-filter)
     delta_entries: int = 0
     #: base records or delta payloads dropped by newest-wins upserts

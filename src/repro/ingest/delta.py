@@ -27,6 +27,11 @@ Newest-wins upserts are encoded twice:
   scan table rebuilds byte-identical physical entries, so tombstones
   filter that fallback path correctly too.
 
+A sealed run keeps a per-partition key filter in memory — its sorted
+payload keys (the fence keys), its tombstones' index keys and, on a base
+run, its upserted keys — so a probe reads a run's payload pages only
+when :meth:`DeltaRun.may_hold` says the run can hold the probed key.
+
 The :class:`DeltaRegistry` is the catalog-side ledger: runs per
 structure in commit order (oldest first), plus the ingest watermark.
 The catalog exposes it behind ``delta_depth()`` so that with zero
@@ -76,6 +81,23 @@ def is_delta_tag(key: Any) -> bool:
             and len(key) == 3 and key[0] == _TAG)
 
 
+def _span(keys: list[Any], target: Target) -> tuple[int, int]:
+    """The positions ``[lo, hi)`` of sorted ``keys`` that ``target``
+    selects."""
+    if isinstance(target, PointerRange):
+        lo = (0 if target.low is None
+              else bisect.bisect_left(keys, target.low)
+              if target.inclusive_low
+              else bisect.bisect_right(keys, target.low))
+        hi = (len(keys) if target.high is None
+              else bisect.bisect_right(keys, target.high)
+              if target.inclusive_high
+              else bisect.bisect_left(keys, target.high))
+        return lo, hi
+    return (bisect.bisect_left(keys, target.key),
+            bisect.bisect_right(keys, target.key))
+
+
 class DeltaRun:
     """One committed micro-batch's sorted run for one structure."""
 
@@ -96,6 +118,9 @@ class DeltaRun:
         self._tags: dict[int, list[Any]] = {}
         #: pid -> tag -> payload position, built by :meth:`seal`
         self._by_tag: dict[int, dict[Any, int]] = {}
+        #: pid -> sorted keys whose probe reads this run (see
+        #: :meth:`may_hold`), built by :meth:`seal`
+        self._filter: dict[int, list[Any]] = {}
         #: payload bytes per partition (charging model input)
         self._bytes: dict[int, int] = {}
         #: base pid -> in-partition keys this run's batch upserted
@@ -117,7 +142,8 @@ class DeltaRun:
 
     def seal(self) -> "DeltaRun":
         """Stable-sort every partition by key (arrival order preserved
-        among duplicates, mirroring heap append order)."""
+        among duplicates, mirroring heap append order) and build the
+        key filter; ``upserts`` and ``tombstones`` must be set first."""
         for pid, keys in self._keys.items():
             order = sorted(range(len(keys)), key=lambda i: keys[i])
             self._keys[pid] = [keys[i] for i in order]
@@ -127,6 +153,20 @@ class DeltaRun:
             self._by_tag[pid] = {
                 tag: i for i, tag in enumerate(self._tags[pid])
                 if tag is not None}
+        # The filter shares a partition's payload key list unless
+        # tombstones or upserts name more keys there.
+        extra: dict[int, list[Any]] = {}
+        for pid, triples in self.tombstones.items():
+            extra.setdefault(pid, []).extend(
+                index_key for index_key, __, __ in triples)
+        if self.structure == self.base_file:
+            # Only a base probe tests upserted keys (an index run's
+            # upserts are base keys, which kill older payloads by origin).
+            for pid, keys in self.upserts.items():
+                extra.setdefault(pid, []).extend(keys)
+        self._filter = dict(self._keys)
+        for pid, keys in extra.items():
+            self._filter[pid] = sorted(self._keys.get(pid, []) + keys)
         return self
 
     # -- probing ---------------------------------------------------------
@@ -137,23 +177,30 @@ class DeltaRun:
         keys = self._keys.get(pid)
         if not keys:
             return []
-        if isinstance(target, PointerRange):
-            lo = (0 if target.low is None
-                  else bisect.bisect_left(keys, target.low)
-                  if target.inclusive_low
-                  else bisect.bisect_right(keys, target.low))
-            hi = (len(keys) if target.high is None
-                  else bisect.bisect_right(keys, target.high)
-                  if target.inclusive_high
-                  else bisect.bisect_left(keys, target.high))
-        else:
-            lo = bisect.bisect_left(keys, target.key)
-            hi = bisect.bisect_right(keys, target.key)
+        lo, hi = _span(keys, target)
         if lo >= hi:
             return []
         payloads = self._payloads[pid]
         origins = self._origins[pid]
         return [(payloads[i], origins[i]) for i in range(lo, hi)]
+
+    def may_hold(self, pid: int, target: Target) -> bool:
+        """True when a probe of ``target`` in partition ``pid`` must read
+        this run's pages.
+
+        The answer comes from the run's in-memory filter block alone:
+        the run's sorted payload keys (its fence keys), the index keys
+        of its tombstones and, on a base run, its upserted keys, or for
+        a delta-tag probe the run's tags.  It is exact: True precisely
+        when the merge can find a payload, a tombstone or an upsert of
+        this run under ``target``."""
+        if isinstance(target, Pointer) and is_delta_tag(target.key):
+            return target.key in self._by_tag.get(pid, ())
+        keys = self._filter.get(pid)
+        if not keys:
+            return False
+        lo, hi = _span(keys, target)
+        return lo < hi
 
     def tagged(self, pid: int, tag: Any
                ) -> Optional[tuple[Any, Record, tuple[int, Any]]]:

@@ -418,18 +418,25 @@ class StagePlanner:
         return tuples * node.tuple_cpu_time / (self.spec.num_nodes
                                                * node.cores)
 
-    def _delta_depth(self, table: Optional[str]) -> int:
-        """Unmerged ingest delta runs a probe of ``table`` must consult."""
+    def _delta_probe_seconds(self, probes: float,
+                             table: Optional[str]) -> float:
+        """Extra cost of delta-aware probes of ``table``: one random read
+        per unmerged run whose in-memory key filter holds the probe's key
+        (runs are small and uncached — no discount).  A run of ``n``
+        entries over a table of ``d`` distinct keys holds a uniformly
+        drawn key with probability ``min(1, n / d)``.  Exactly 0.0 on a
+        static lake."""
         if table is None:
-            return 0
-        return self.catalog.delta_depth(table)
-
-    def _delta_probe_seconds(self, probes: float, runs: int) -> float:
-        """Extra cost of delta-aware probes: one random read per run per
-        probe (runs are small and uncached — no discount)."""
-        if runs <= 0:
             return 0.0
-        return probes * runs / self._total_iops
+        runs = self.catalog.delta_runs(table)
+        if not runs:
+            return 0.0
+        if isinstance(self._file(table), BtreeFile):
+            distinct = self._distinct_index_keys(table)
+        else:
+            distinct = self._distinct_loader_keys(table)
+        held = sum(min(1.0, len(run) / max(1, distinct)) for run in runs)
+        return probes * held / self._total_iops
 
     def _scan_stage_seconds(self, table: str, probes: float,
                             fanout: float) -> float:
@@ -490,9 +497,8 @@ class StagePlanner:
         ios = probes * (probe_ios + heap_pages)
         io_seconds, hit_seconds = self._cache_discount(structure_bytes, ios)
         cpu = self._tuple_seconds(probes * max(1.0, fanout))
-        delta = self._delta_probe_seconds(
-            probes, self._delta_depth(join.via_index)
-            + self._delta_depth(join.target))
+        delta = (self._delta_probe_seconds(probes, join.via_index)
+                 + self._delta_probe_seconds(probes, join.target))
         return (hops * disk.random_service_time + io_seconds + hit_seconds
                 + cpu + delta)
 
@@ -512,7 +518,7 @@ class StagePlanner:
                          + probe_hit_seconds
                          + self._tuple_seconds(cardinality)
                          + self._delta_probe_seconds(
-                             cardinality, self._delta_depth(source.structure)))
+                             cardinality, source.structure))
         scan_seconds: Optional[float] = None
         if source.base is None:
             rows_out = cardinality * self._selectivity_of(source)
@@ -528,7 +534,7 @@ class StagePlanner:
                          + fetch_io + fetch_hit
                          + self._tuple_seconds(cardinality)
                          + self._delta_probe_seconds(
-                             cardinality, self._delta_depth(source.base)))
+                             cardinality, source.base))
         if self._scan_backable_base(source):
             scan_seconds = probe_seconds + self._scan_stage_seconds(
                 source.base, probes=cardinality, fanout=1.0)

@@ -24,9 +24,10 @@ SUMMED = (
     "scan_stage_bytes", "remote_fetches", "bytes_transferred",
     "elapsed_seconds", "transient_faults", "timeouts", "retries",
     "reroutes", "tasks_skipped", "corruptions_detected", "quarantines",
-    "corruption_fallbacks", "delta_probes", "delta_entries",
-    "delta_superseded", "result_cache_hits", "scan_table_cache_hits",
-    "batches", "batched_probes", "batched_capacity",
+    "corruption_fallbacks", "delta_probes", "delta_run_reads",
+    "delta_entries", "delta_superseded", "result_cache_hits",
+    "scan_table_cache_hits", "batches", "batched_probes",
+    "batched_capacity",
 )
 COUNTERS = ("stage_invocations", "stage_record_accesses")
 #: per-job peaks and counts of shared events: the largest one job saw

@@ -314,6 +314,22 @@ class TestFreshTableScans:
         fresh = planner._scan_stage_seconds("facts", 10.0, 1.0)
         assert fresh > static
 
+    def test_delta_price_counts_the_runs_a_key_can_be_in(self):
+        catalog, store = self.make_lake()
+        planner = StagePlanner(catalog, store, ClusterSpec(num_nodes=2))
+        assert planner._delta_probe_seconds(10.0, "facts") == 0.0
+        assert planner._delta_probe_seconds(10.0, "idx_grp") == 0.0
+        self.ingest(catalog)
+        iops = planner._total_iops
+        # one run of 5 rows over 200 distinct pks: a probe's key is in
+        # it one time in 40
+        assert planner._delta_probe_seconds(10.0, "facts") == (
+            pytest.approx(10.0 * 5 / 200 / iops))
+        # its 5 index entries over grp's 5 distinct keys: capped at one
+        # read per probe
+        assert planner._delta_probe_seconds(10.0, "idx_grp") == (
+            pytest.approx(10.0 / iops))
+
     def test_pure_scan_plan_reads_fresh_tables(self):
         catalog, store = self.make_lake()
         self.ingest(catalog)

@@ -69,9 +69,9 @@ class TestTaskTracker:
         assert done.triggered
 
 
-def broadcast_catalog():
+def broadcast_catalog(num_nodes=3):
     """A dataset where the broadcast path is the only correct one."""
-    dfs = DistributedFileSystem(num_nodes=3)
+    dfs = DistributedFileSystem(num_nodes=num_nodes)
     catalog = StructureCatalog(dfs)
     drivers = [Record({"pk": i, "fk": i % 4}) for i in range(8)]
     catalog.register_file("driver", drivers, lambda r: r["pk"])
@@ -120,16 +120,19 @@ class TestBroadcastSemantics:
         assert row_sets[0] == row_sets[1] == row_sets[2]
 
     def test_broadcast_probe_counts_scale_with_partitions(self):
-        catalog = broadcast_catalog()
-        cluster = Cluster(ClusterSpec(num_nodes=3))
-        result = ReDeExecutor(cluster, catalog, mode="smpe").execute(
-            broadcast_job())
-        # One driver record + index probes on every local-index partition
-        # + 6 target fetches; stage 2 saw one invocation per partition.
-        index = catalog.dfs.get_index("idx_target_fk_local")
-        assert (result.metrics.stage_invocations[2]
-                >= 1)  # at least the probing happened
-        assert result.metrics.base_record_accesses == 1 + 6
+        for num_nodes in (2, 3, 5):
+            catalog = broadcast_catalog(num_nodes)
+            cluster = Cluster(ClusterSpec(num_nodes=num_nodes))
+            result = ReDeExecutor(cluster, catalog, mode="smpe").execute(
+                broadcast_job())
+            # One driver record + index probes on every local-index
+            # partition + 6 target fetches; stage 2 saw one invocation
+            # per partition.
+            index = catalog.dfs.get_index("idx_target_fk_local")
+            assert index.num_partitions == num_nodes
+            assert (result.metrics.stage_invocations[2]
+                    == index.num_partitions)
+            assert result.metrics.base_record_accesses == 1 + 6
 
 
 class TestQueueAndPoolBehaviour:
